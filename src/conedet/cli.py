@@ -36,7 +36,7 @@ from .determinants import (
     zeta_prime0_unit_disk_cone,
 )
 from .quadrature import QuadratureError
-from .special_functions import EvalResult
+from .special_functions import EvalResult, _fsum_result
 
 __all__ = ["main", "run"]
 
@@ -76,7 +76,7 @@ def _negated(res: EvalResult, tag: str) -> EvalResult:
 
 
 def _closed(value: float, tag: str) -> EvalResult:
-    return EvalResult(value, 2e-14 * (1.0 + abs(value)), tag)
+    return _fsum_result((value,), tag)
 
 
 _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
@@ -105,6 +105,16 @@ _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
         lambda p: _closed(logdet_poincare_cap(p["eta"]), "poincare-cap-logdet"),
     ),
 }
+
+
+# (name, type, help) of the parameters det and table take
+_PARAMS = (
+    ("a", float, "cone angle over 2*pi"),
+    ("eta", float, "geodesic radius"),
+    ("w", int, "orbifold order (angle 2*pi/w)"),
+    ("K", float, "curvature"),
+    ("r", float, "flat disk radius"),
+)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -153,22 +163,21 @@ def _cast_param(name: str, value: float) -> float | int:
     return int(nearest)
 
 
+def _add_point_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("kind", choices=sorted(_KINDS))
+    for name, type_, help_text in _PARAMS:
+        parser.add_argument(f"--{name}", type=type_, help=help_text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="conedet", description="log-determinants on constant-curvature cones")
     sub = parser.add_subparsers(dest="command", required=True)
-    kinds = sorted(_KINDS)
 
     det = sub.add_parser("det", help="evaluate one log-determinant")
-    det.add_argument("kind", choices=kinds)
-    det.add_argument("--a", type=float, help="cone angle over 2*pi")
-    det.add_argument("--eta", type=float, help="geodesic radius")
-    det.add_argument("--w", type=int, help="orbifold order (angle 2*pi/w)")
-    det.add_argument("--K", type=float, help="curvature")
-    det.add_argument("--r", type=float, help="flat disk radius")
+    _add_point_args(det)
     det.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
 
     table = sub.add_parser("table", help="tabulate a kind over parameter grids")
-    table.add_argument("kind", choices=kinds)
     table.add_argument(
         "--grid",
         action="append",
@@ -176,11 +185,7 @@ def _build_parser() -> _Parser:
         metavar="NAME=START,STOP,COUNT[,log]",
         help="parameter grid; repeat for a second axis (first grid is the outer loop)",
     )
-    table.add_argument("--a", type=float)
-    table.add_argument("--eta", type=float)
-    table.add_argument("--w", type=int)
-    table.add_argument("--K", type=float)
-    table.add_argument("--r", type=float)
+    _add_point_args(table)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     asympt = sub.add_parser("asympt", help="orbifold determinant vs small-radius expansion")
@@ -199,17 +204,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _collect_params(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
-    params = {}
+def _points(args: argparse.Namespace, names: tuple[str, ...], grids: list[tuple[str, list[float]]]) -> list[dict]:
+    """Every parameter point, keyed in the kind's order, of a det (no grids)
+    or table call, first grid outermost.  Raises ValueError for a missing,
+    extra or doubly given parameter."""
+    gridded = {name for name, _ in grids}
+    fixed = {}
     for name in names:
         value = getattr(args, name)
-        if value is None:
+        if name in gridded:
+            if value is not None:
+                raise ValueError(f"--{name} conflicts with its grid")
+        elif value is None:
             raise ValueError(f"{args.kind} requires --{name}")
-        params[name] = value
-    for name in ("a", "eta", "w", "K", "r"):
-        if name not in names and getattr(args, name, None) is not None:
+        else:
+            fixed[name] = value
+    for name, _, _ in _PARAMS:
+        if name not in names and getattr(args, name) is not None:
             raise ValueError(f"{args.kind} does not take --{name}")
-    return params
+    points = [fixed]
+    for name, values in grids:
+        points = [{**point, name: _cast_param(name, v)} for point in points for v in values]
+    return [{n: point[n] for n in names} for point in points]
 
 
 def _record(res: EvalResult, params: dict) -> dict:
@@ -221,16 +237,22 @@ def _record(res: EvalResult, params: dict) -> dict:
     }
 
 
+def _csv(names: tuple[str, ...], results: list[tuple[dict, EvalResult]]) -> str:
+    lines = [",".join(list(names) + ["value", "abs_err"])]
+    lines.extend(
+        ",".join(_fmt(v) for v in [*point.values(), res.value, res.abs_err]) for point, res in results
+    )
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_det(args: argparse.Namespace) -> str:
     names, evaluate = _KINDS[args.kind]
-    params = _collect_params(args, names)
+    (params,) = _points(args, names, [])
     res = evaluate(params)
     if args.format == "json":
         return _json(_record(res, params)) + "\n"
     if args.format == "csv":
-        header = ",".join(list(names) + ["value", "abs_err"])
-        row = ",".join(_fmt(v) for v in [params[n] for n in names] + [res.value, res.abs_err])
-        return header + "\n" + row + "\n"
+        return _csv(names, [(params, res)])
     return (
         f"logdet = {_fmt(res.value)}\n"
         f"abs_err = {_fmt(res.abs_err)}\n"
@@ -254,41 +276,10 @@ def _cmd_table(args: argparse.Namespace) -> str:
             raise ValueError(f"parameter {name!r} gridded twice")
         grids.append((name, values))
 
-    fixed = {}
-    for name in names:
-        if any(name == g for g, _ in grids):
-            if getattr(args, name, None) is not None:
-                raise ValueError(f"--{name} conflicts with its grid")
-            continue
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"{args.kind} requires --{name} or a grid for it")
-        fixed[name] = value
-    for name in ("a", "eta", "w", "K", "r"):
-        if name not in names and getattr(args, name, None) is not None:
-            raise ValueError(f"{args.kind} does not take --{name}")
-
-    outer = grids[0]
-    inner = grids[1] if len(grids) > 1 else None
-    results: list[tuple[dict, EvalResult]] = []
-    for ov in outer[1]:
-        point = dict(fixed)
-        point[outer[0]] = _cast_param(outer[0], ov)
-        if inner is None:
-            results.append((dict(point), evaluate(point)))
-        else:
-            for iv in inner[1]:
-                point[inner[0]] = _cast_param(inner[0], iv)
-                results.append((dict(point), evaluate(point)))
-
+    results = [(point, evaluate(point)) for point in _points(args, names, grids)]
     if args.format == "json":
-        return _json([_record(res, {n: point[n] for n in names}) for point, res in results]) + "\n"
-    lines = [",".join(list(names) + ["value", "abs_err"])]
-    lines.extend(
-        ",".join(_fmt(v) for v in [point[n] for n in names] + [res.value, res.abs_err])
-        for point, res in results
-    )
-    return "\n".join(lines) + "\n"
+        return _json([_record(res, point) for point, res in results]) + "\n"
+    return _csv(names, results)
 
 
 def _cmd_asympt(args: argparse.Namespace) -> str:
@@ -363,10 +354,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(out)
             if not ok:
                 return 2
-    except _ArgError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (_ArgError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except QuadratureError as exc:

@@ -28,12 +28,18 @@ from functools import lru_cache
 
 from .quadrature import QuadratureConfig
 from .special_functions import (
+    _ETA_MAX,
+    _TINY,
     LOG_2PI,
     BarnesArgs,
     EvalResult,
+    _checked_w,
+    _fsum_result,
+    _orbifold_gamma_sum,
+    _quad_or_default,
+    _real,
     barnes_zeta_prime0,
     barnes_zeta_prime0_orbifold,
-    log_gamma,
     riemann_zeta_prime_minus1,
 )
 
@@ -58,36 +64,6 @@ __all__ = [
     "verify_identities",
 ]
 
-_DEFAULT_QUAD = QuadratureConfig()
-
-
-def _checked(name: str, value: float, minimum: float = 1e-300) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value < minimum:
-        raise ValueError(f"{name} must be finite and >= {minimum:g}, got {value!r}")
-    return value
-
-
-# cosh overflows just above 710; keep radii where every formula stays finite
-_ETA_MAX = 700.0
-
-
-def _checked_eta(value: float) -> float:
-    value = _checked("eta", value)
-    if value > _ETA_MAX:
-        raise ValueError(f"eta must be <= {_ETA_MAX:g} (cosh overflow), got {value!r}")
-    return value
-
-
-def _checked_w(w: int) -> int:
-    if not isinstance(w, int) or isinstance(w, bool):
-        raise ValueError(f"w must be an integer, got {w!r}")
-    if not 1 <= w <= 200:
-        raise ValueError(f"w must be in [1, 200], got {w}")
-    return w
-
 
 @dataclass(frozen=True)
 class ConeGeometry:
@@ -98,8 +74,8 @@ class ConeGeometry:
     eta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _checked("a", self.a))
-        object.__setattr__(self, "eta", _checked_eta(self.eta))
+        object.__setattr__(self, "a", _real("a", self.a, _TINY))
+        object.__setattr__(self, "eta", _real("eta", self.eta, _TINY, _ETA_MAX))
 
 
 @dataclass(frozen=True)
@@ -111,13 +87,8 @@ class CurvedDiskGeometry:
     K: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _checked("a", self.a))
-        if not isinstance(self.K, (int, float)) or isinstance(self.K, bool):
-            raise ValueError(f"K must be a real number, got {self.K!r}")
-        K = float(self.K)
-        if not math.isfinite(K) or K + 1.0 < 1e-300:
-            raise ValueError(f"K must be finite with K > -1, got {K!r}")
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "a", _real("a", self.a, _TINY))
+        object.__setattr__(self, "K", _real("K", self.K, -1.0, open_lo=True))
 
 
 @dataclass(frozen=True)
@@ -154,25 +125,15 @@ def _inv_sech_sq_half(eta: float) -> float:
     return 0.5 * (1.0 + math.cosh(eta))
 
 
-def _noise(magnitude: float) -> float:
-    return 2e-14 * (1.0 + magnitude)
-
-
 @lru_cache(maxsize=512)
 def _barnes_a11(a: float, quad: QuadratureConfig) -> EvalResult:
     return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0), quad)
 
 
-def _orbifold_gamma_sum(w: int) -> float:
-    # sum_{j=1}^{w-1} j log Gamma(j/w)
-    ww = float(w)
-    return math.fsum(j * log_gamma(j / ww) for j in range(1, w))
-
-
 def curvature_from_radius(eta: float) -> float:
     """Curvature K = -tanh(eta/2)^2 of the flattened unit-disk metric that
     matches a curvature -1 cone of geodesic radius eta."""
-    eta = _checked("eta", eta)
+    eta = _real("eta", eta, _TINY)
     t = math.tanh(0.5 * eta)
     return -(t * t)
 
@@ -183,7 +144,7 @@ def logdet_hyperbolic_cone(g: ConeGeometry, quad: QuadratureConfig | None = None
     if not isinstance(g, ConeGeometry):
         raise ValueError("g must be a ConeGeometry")
     a, eta = g.a, g.eta
-    bz = _barnes_a11(a, _DEFAULT_QUAD if quad is None else quad)
+    bz = _barnes_a11(a, _quad_or_default(quad))
     inv_a = 1.0 / a
     terms = (
         -(a + inv_a) / 6.0 * _log_tanh_half(eta),
@@ -192,16 +153,14 @@ def logdet_hyperbolic_cone(g: ConeGeometry, quad: QuadratureConfig | None = None
         -(a + 3.0 + inv_a) / 6.0 * math.log(a),
         -0.5 * LOG_2PI,
     )
-    value = math.fsum(terms)
-    err = 2.0 * bz.abs_err + _noise(math.fsum(abs(t) for t in terms))
-    return EvalResult(value, err, "hyperbolic-cone")
+    return _fsum_result(terms, "hyperbolic-cone", 2.0 * bz.abs_err)
 
 
 def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
     """-zeta'(0) for the angle 2*pi/w cone, from the finite log-gamma
     closed form; no quadrature involved."""
     w = _checked_w(w)
-    eta = _checked_eta(eta)
+    eta = _real("eta", eta, _TINY, _ETA_MAX)
     ww = float(w)
     terms = (
         -(ww + 1.0 / ww) / 6.0 * _log_tanh_half(eta),
@@ -211,16 +170,14 @@ def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
         -0.5 * ww * LOG_2PI,
         (ww + 3.0 + 2.0 / ww) / 6.0 * math.log(ww),
     )
-    value = math.fsum(terms)
-    err = _noise(math.fsum(abs(t) for t in terms))
-    return EvalResult(value, err, "orbifold-cone")
+    return _fsum_result(terms, "orbifold-cone")
 
 
 def small_eta_asymptotics(w: int, eta: float) -> float:
     """Small-radius expansion of logdet_orbifold_cone, exact through the
     constant term; the remainder is O(eta^2)."""
     w = _checked_w(w)
-    eta = _checked("eta", eta)
+    eta = _real("eta", eta, _TINY)
     ww = float(w)
     return math.fsum(
         (
@@ -245,7 +202,7 @@ def fp_asymptotics_reference(w: int, eta: float) -> float:
     it differs from small_eta_asymptotics by an eta-independent, nonzero
     amount for every w."""
     w = _checked_w(w)
-    eta = _checked("eta", eta)
+    eta = _real("eta", eta, _TINY)
     ww = float(w)
     return math.fsum(
         (
@@ -263,9 +220,9 @@ def fp_asymptotics_reference(w: int, eta: float) -> float:
 def zeta_prime0_spindle(a: float, K: float, quad: QuadratureConfig | None = None) -> EvalResult:
     """zeta'(0) of the modified (zero mode removed) Laplacian on the
     curvature K > 0 spindle with two angle 2*pi*a points."""
-    a = _checked("a", a)
-    K = _checked("K", K)
-    bz = _barnes_a11(a, _DEFAULT_QUAD if quad is None else quad)
+    a = _real("a", a, _TINY)
+    K = _real("K", K, _TINY)
+    bz = _barnes_a11(a, _quad_or_default(quad))
     inv_a = 1.0 / a
     terms = (
         4.0 * bz.value,
@@ -273,23 +230,21 @@ def zeta_prime0_spindle(a: float, K: float, quad: QuadratureConfig | None = None
         (a + inv_a) / 3.0 * (math.log(a) - 0.5 * math.log(K)),
         math.log(K),
     )
-    value = math.fsum(terms)
-    err = 4.0 * bz.abs_err + _noise(math.fsum(abs(t) for t in terms))
-    return EvalResult(value, err, "spindle-zeta-prime0")
+    return _fsum_result(terms, "spindle-zeta-prime0", 4.0 * bz.abs_err)
 
 
 def zeta0_spindle(a: float) -> float:
     """zeta(0) of the modified spindle Laplacian (curvature independent)."""
-    a = _checked("a", a)
+    a = _real("a", a, _TINY)
     return (a + 1.0 / a) / 6.0 - 1.0
 
 
 def zeta_prime0_spherical_cone(a: float, K: float, quad: QuadratureConfig | None = None) -> EvalResult:
     """zeta'(0) of the Dirichlet Laplacian on the curvature K > 0 cone of
     angle 2*pi*a cut at the equator of the K-sphere."""
-    a = _checked("a", a)
-    K = _checked("K", K)
-    bz = _barnes_a11(a, _DEFAULT_QUAD if quad is None else quad)
+    a = _real("a", a, _TINY)
+    K = _real("K", K, _TINY)
+    bz = _barnes_a11(a, _quad_or_default(quad))
     inv_a = 1.0 / a
     terms = (
         2.0 * bz.value,
@@ -298,9 +253,7 @@ def zeta_prime0_spherical_cone(a: float, K: float, quad: QuadratureConfig | None
         -(a + inv_a) / 12.0 * math.log(K),
         0.5 * LOG_2PI,
     )
-    value = math.fsum(terms)
-    err = 2.0 * bz.abs_err + _noise(math.fsum(abs(t) for t in terms))
-    return EvalResult(value, err, "spherical-cone-zeta-prime0")
+    return _fsum_result(terms, "spherical-cone-zeta-prime0", 2.0 * bz.abs_err)
 
 
 def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry, quad: QuadratureConfig | None = None) -> EvalResult:
@@ -309,7 +262,7 @@ def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry, quad: QuadratureConfig | N
     if not isinstance(g, CurvedDiskGeometry):
         raise ValueError("g must be a CurvedDiskGeometry")
     a, K = g.a, g.K
-    bz = _barnes_a11(a, _DEFAULT_QUAD if quad is None else quad)
+    bz = _barnes_a11(a, _quad_or_default(quad))
     inv_a = 1.0 / a
     terms = (
         2.0 * bz.value,
@@ -318,20 +271,18 @@ def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry, quad: QuadratureConfig | N
         4.0 / 3.0 * a / (K + 1.0),
         0.5 * LOG_2PI,
     )
-    value = math.fsum(terms)
-    err = 2.0 * bz.abs_err + _noise(math.fsum(abs(t) for t in terms))
-    return EvalResult(value, err, "disk-cone-zeta-prime0")
+    return _fsum_result(terms, "disk-cone-zeta-prime0", 2.0 * bz.abs_err)
 
 
 def zeta0_unit_disk_cone(a: float) -> float:
     """zeta(0) of the unit-disk cone Laplacian (curvature independent)."""
-    a = _checked("a", a)
+    a = _real("a", a, _TINY)
     return (a + 1.0 / a) / 12.0
 
 
 def logdet_flat_disk(r: float) -> float:
     """-zeta'(0) of the Dirichlet Laplacian on the flat disk of radius r."""
-    r = _checked("r", r)
+    r = _real("r", r, _TINY)
     return math.fsum(
         (
             -math.log(r) / 3.0,
@@ -346,7 +297,7 @@ def logdet_flat_disk(r: float) -> float:
 def logdet_poincare_cap(eta: float) -> float:
     """-zeta'(0) of the Dirichlet Laplacian on the smooth curvature -1 disk
     of geodesic radius eta (the a = 1 cone)."""
-    eta = _checked_eta(eta)
+    eta = _real("eta", eta, _TINY, _ETA_MAX)
     return math.fsum(
         (
             -_log_tanh_half(eta) / 3.0,
@@ -361,23 +312,16 @@ def logdet_poincare_cap(eta: float) -> float:
 def rescale_logdet(logdet: float, zeta0: float, C: float) -> float:
     """Log-determinant after rescaling the operator by 1/C:
     logdet(C^{-1} D) = logdet(D) - zeta(0, D) log C."""
-    C = _checked("C", C)
-    for name, v in (("logdet", logdet), ("zeta0", zeta0)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
-            raise ValueError(f"{name} must be a finite real number, got {v!r}")
-    return float(logdet) - float(zeta0) * math.log(C)
+    C = _real("C", C, _TINY)
+    return _real("logdet", logdet) - _real("zeta0", zeta0) * math.log(C)
 
 
 def annulus_ratio_closed_form(a: float, K: float) -> float:
     """Log of the determinant ratio between the cone-metric annulus
     K^(-1/2a) <= |z| <= 1 and the flat annulus, for K > 1 (the inner circle
     must stay inside the unit disk)."""
-    a = _checked("a", a)
-    if not isinstance(K, (int, float)) or isinstance(K, bool):
-        raise ValueError(f"K must be a real number, got {K!r}")
-    K = float(K)
-    if not math.isfinite(K) or K <= 1.0:
-        raise ValueError(f"K must be finite and > 1, got {K!r}")
+    a = _real("a", a, _TINY)
+    K = _real("K", K, 1.0, open_lo=True)
     return 2.0 * a / 3.0 - 4.0 / 3.0 * a / (K + 1.0) - (a - 1.0 / a) / 12.0 * math.log(K)
 
 
@@ -396,12 +340,8 @@ def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -
     """Evaluate every cross-formula identity and return one report per
     identity, sorted by name.  Grid-based identities report their worst
     point.  Failures are reported, never raised."""
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-        raise ValueError(f"tol must be a real number, got {tol!r}")
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    quad = _DEFAULT_QUAD if quad is None else quad
+    tol = _real("tol", tol, 0.0, open_lo=True)
+    quad = _quad_or_default(quad)
 
     from . import pa_oracle
 

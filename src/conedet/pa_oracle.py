@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .quadrature import QuadratureConfig, adaptive_quadrature
+from .special_functions import _ETA_MAX, _TINY, _quad_or_default, _real
 
 __all__ = [
     "ConformalFactor",
@@ -26,17 +27,6 @@ __all__ = [
     "pa_annulus_numeric",
     "pa_disk_numeric",
 ]
-
-_DEFAULT_QUAD = QuadratureConfig()
-
-
-def _positive(name: str, value: float, minimum: float = 1e-300) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value < minimum:
-        raise ValueError(f"{name} must be finite and >= {minimum:g}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -49,13 +39,8 @@ class ConformalFactor:
     K: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _positive("a", self.a))
-        if not isinstance(self.K, (int, float)) or isinstance(self.K, bool):
-            raise ValueError(f"K must be a real number, got {self.K!r}")
-        K = float(self.K)
-        if not math.isfinite(K) or K + 1.0 < 1e-300:
-            raise ValueError(f"K must be finite with K > -1, got {K!r}")
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "a", _real("a", self.a, _TINY))
+        object.__setattr__(self, "K", _real("K", self.K, -1.0, open_lo=True))
 
     def _denominator(self, r: float) -> float:
         d = 1.0 + self.K * r ** (2.0 * self.a)
@@ -64,15 +49,11 @@ class ConformalFactor:
         return d
 
     def psi(self, r: float) -> float:
-        r = _positive("r", r)
-        if r > 1.0:
-            raise ValueError(f"r must lie in (0, 1], got {r!r}")
+        r = _real("r", r, _TINY, 1.0)
         return (self.a - 1.0) * math.log(r) + math.log(2.0 * self.a) - math.log(self._denominator(r))
 
     def dpsi(self, r: float) -> float:
-        r = _positive("r", r)
-        if r > 1.0:
-            raise ValueError(f"r must lie in (0, 1], got {r!r}")
+        r = _real("r", r, _TINY, 1.0)
         a, K = self.a, self.K
         return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / self._denominator(r)
 
@@ -123,13 +104,9 @@ def pa_annulus_numeric(a: float, K: float, quad: QuadratureConfig | None = None)
     with the area term done by quadrature.  Needs K > 1 so the inner circle
     sits strictly inside the disk.  The total equals
     annulus_ratio_closed_form(a, K) up to quadrature error."""
-    a = _positive("a", a)
-    if not isinstance(K, (int, float)) or isinstance(K, bool):
-        raise ValueError(f"K must be a real number, got {K!r}")
-    K = float(K)
-    if not math.isfinite(K) or K <= 1.0:
-        raise ValueError(f"K must be finite and > 1, got {K!r}")
-    quad = _DEFAULT_QUAD if quad is None else quad
+    a = _real("a", a, _TINY)
+    K = _real("K", K, 1.0, open_lo=True)
+    quad = _quad_or_default(quad)
 
     cf = ConformalFactor(a, K)
     rho = K ** (-1.0 / (2.0 * a))
@@ -157,10 +134,8 @@ def pa_disk_numeric(eta: float, quad: QuadratureConfig | None = None) -> PAInteg
     radius eta, realized on the flat disk of radius tanh(eta/2).  The total
     equals logdet_poincare_cap(eta) - logdet_flat_disk(tanh(eta/2)) up to
     quadrature error."""
-    eta = _positive("eta", eta)
-    if eta > 700.0:
-        raise ValueError(f"eta must be <= 700 (cosh overflow), got {eta!r}")
-    quad = _DEFAULT_QUAD if quad is None else quad
+    eta = _real("eta", eta, _TINY, _ETA_MAX)
+    quad = _quad_or_default(quad)
 
     T = math.tanh(0.5 * eta)
 

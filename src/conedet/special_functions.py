@@ -45,6 +45,12 @@ _ZETA_PRIME_MINUS_ONE = -0.1654211437004509292139197
 
 _DEFAULT_QUAD = QuadratureConfig()
 
+
+def _quad_or_default(quad: QuadratureConfig | None) -> QuadratureConfig:
+    return _DEFAULT_QUAD if quad is None else quad
+
+
+
 # Stirling series coefficients B_{2j} / (2j (2j-1)) for log Gamma.
 _STIRLING = (
     1.0 / 12.0,
@@ -98,14 +104,34 @@ _EM_COEFF = (
 # The Stirling tail reaches double precision once Re z is past this line.
 _STIRLING_EDGE = 10.0
 
+# Smallest value accepted for a parameter that must be positive.
+_TINY = 1e-300
 
-def _require_positive(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+# cosh overflows just above 710; keep radii where every formula stays finite
+_ETA_MAX = 700.0
+
+
+def _real(name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False) -> float:
+    """value as a float, or a ValueError naming the parameter and its valid
+    range unless value is a finite real number (not a bool) with
+    lo <= value <= hi (lo < value when open_lo)."""
+    if value.__class__ is not float:  # plain floats, the hot case, skip the type checks
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not (math.isfinite(value) and (value > lo if open_lo else value >= lo) and value <= hi):
+        left = "(" if open_lo or lo == -math.inf else "["
+        right = "]" if hi < math.inf else ")"
+        raise ValueError(f"{name} must be finite and in {left}{lo:g}, {hi:g}{right}, got {value!r}")
     return value
+
+
+def _checked_w(w: int) -> int:
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise ValueError(f"w must be an integer, got {w!r}")
+    if not 1 <= w <= 200:
+        raise ValueError(f"w must be in [1, 200], got {w}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -118,13 +144,7 @@ class BarnesArgs:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "x"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v) or v < 1e-300:
-                raise ValueError(f"{name} must be >= 1e-300 and finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(name, getattr(self, name), _TINY))
 
 
 @dataclass(frozen=True)
@@ -143,6 +163,12 @@ class EvalResult:
             raise ValueError("formula_tag must be a nonempty string")
 
 
+def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0) -> EvalResult:
+    """The exactly rounded sum of terms, its error bar being err plus the
+    rounding floor 2e-14 * (1 + sum of |term|)."""
+    return EvalResult(math.fsum(terms), err + 2e-14 * (1.0 + math.fsum(abs(t) for t in terms)), tag)
+
+
 def _stirling_real(x: float) -> float:
     inv = 1.0 / x
     inv2 = inv * inv
@@ -156,7 +182,7 @@ def _stirling_real(x: float) -> float:
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
-    x = _require_positive("x", x)
+    x = _real("x", x, 0.0, open_lo=True)
     shift = 0.0
     while x < _STIRLING_EDGE:
         shift += math.log(x)
@@ -170,10 +196,8 @@ def im_log_gamma(p: float, q: float) -> float:
     Odd in q by construction: the q < 0 branch returns the negated
     reflection, so im_log_gamma(p, -q) == -im_log_gamma(p, q) exactly.
     """
-    p = _require_positive("p", p)
-    if not isinstance(q, (int, float)) or isinstance(q, bool) or not math.isfinite(float(q)):
-        raise ValueError(f"q must be a finite real number, got {q!r}")
-    q = float(q)
+    p = _real("p", p, 0.0, open_lo=True)
+    q = _real("q", q)
     if q == 0.0:
         return 0.0
     if q < 0.0:
@@ -198,7 +222,7 @@ def im_log_gamma(p: float, q: float) -> float:
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of Gamma at x > 0."""
-    x = _require_positive("x", x)
+    x = _real("x", x, 0.0, open_lo=True)
     acc = 0.0
     while x < 12.0:
         acc += 1.0 / x
@@ -283,10 +307,8 @@ def _negative_integer_value(s: float, x: float) -> float:
 
 
 def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
-    if not isinstance(s, (int, float)) or isinstance(s, bool) or not math.isfinite(float(s)):
-        raise ValueError(f"s must be a finite real number, got {s!r}")
-    s = float(s)
-    x = _require_positive("x", x)
+    s = _real("s", s)
+    x = _real("x", x, 0.0, open_lo=True)
     if s == 1.0:
         raise ValueError("s = 1 is the pole of the Hurwitz zeta function")
     edge = max(18.0, abs(s) + 8.0) if s >= -1.5 else max(10.0, abs(s) + 5.0)
@@ -353,7 +375,7 @@ def barnes_zeta_prime0(args: BarnesArgs, quad: QuadratureConfig | None = None) -
     """
     if not isinstance(args, BarnesArgs):
         args = BarnesArgs(*args)
-    quad = _DEFAULT_QUAD if quad is None else quad
+    quad = _quad_or_default(quad)
     a, b, x = args.a, args.b, args.x
     p = x / a
 
@@ -374,24 +396,22 @@ def barnes_zeta_prime0(args: BarnesArgs, quad: QuadratureConfig | None = None) -
         -r * hurwitz_zeta_sderiv(-1.0, p),
         integral,
     )
-    value = math.fsum(terms)
-    noise = 2e-14 * (1.0 + math.fsum(abs(t) for t in terms))
-    abs_err = quad_err + quad.abs_tol / 10.0 + noise
-    return EvalResult(value, abs_err, "barnes-integral")
+    return _fsum_result(terms, "barnes-integral", quad_err + quad.abs_tol / 10.0)
+
+
+def _orbifold_gamma_sum(w: int) -> float:
+    # sum_{j=1}^{w-1} j log Gamma(j/w)
+    ww = float(w)
+    return math.fsum(j * log_gamma(j / ww) for j in range(1, w))
 
 
 def barnes_zeta_prime0_orbifold(w: int) -> float:
     """The same derivative at parameters (1/w, 1, 1) for integer w, from a
     finite closed form in log-gamma values; no quadrature involved."""
-    if not isinstance(w, int) or isinstance(w, bool):
-        raise ValueError(f"w must be an integer, got {w!r}")
-    if not 1 <= w <= 200:
-        raise ValueError(f"w must be in [1, 200], got {w}")
-    ww = float(w)
-    gsum = math.fsum(j * log_gamma(j / ww) for j in range(1, w))
+    ww = float(_checked_w(w))
     return (
         _ZETA_PRIME_MINUS_ONE / ww
         - math.log(ww) / (12.0 * ww)
-        - gsum / ww
+        - _orbifold_gamma_sum(w) / ww
         + (ww - 1.0) / 4.0 * LOG_2PI
     )

@@ -4,6 +4,8 @@ import mpmath
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import conedet.determinants as D
+import conedet.pa_oracle as PA
 from conedet.quadrature import QuadratureConfig, QuadratureError
 from conedet.special_functions import (
     BarnesArgs,
@@ -23,6 +25,59 @@ LOG_2PI = math.log(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015328606065121
 
 # reference values frozen from mpmath at 40 significant digits
+
+_TINY = 1e-300
+_BELOW_TINY = math.nextafter(_TINY, 0.0)
+
+# (entry point, valid arguments, parameter, its position, values just
+# outside its range); every parameter also rejects a bool, NaN and +-inf
+VALIDATION_CONTRACT = [
+    (log_gamma, (1.0,), "x", 0, (0.0,)),
+    (digamma, (1.0,), "x", 0, (0.0,)),
+    (im_log_gamma, (1.0, 1.0), "p", 0, (0.0,)),
+    (im_log_gamma, (1.0, 1.0), "q", 1, ()),
+    (hurwitz_zeta, (2.0, 1.0), "s", 0, (1.0,)),
+    (hurwitz_zeta, (2.0, 1.0), "x", 1, (0.0,)),
+    (hurwitz_zeta_sderiv, (2.0, 1.0), "s", 0, (1.0,)),
+    (hurwitz_zeta_sderiv, (2.0, 1.0), "x", 1, (0.0,)),
+    *((BarnesArgs, (1.0, 1.0, 1.0), name, i, (_BELOW_TINY,)) for i, name in enumerate("abx")),
+    (barnes_zeta_prime0_orbifold, (2,), "w", 0, (0, 201, 2.0)),
+    (D.ConeGeometry, (1.0, 1.0), "a", 0, (_BELOW_TINY,)),
+    (D.ConeGeometry, (1.0, 1.0), "eta", 1, (_BELOW_TINY, math.nextafter(700.0, 701.0))),
+    (D.CurvedDiskGeometry, (1.0, 0.0), "a", 0, (_BELOW_TINY,)),
+    (D.CurvedDiskGeometry, (1.0, 0.0), "K", 1, (-1.0,)),
+    (D.curvature_from_radius, (1.0,), "eta", 0, (_BELOW_TINY,)),
+    (D.logdet_orbifold_cone, (2, 1.0), "w", 0, (0, 201, 2.0)),
+    (D.logdet_orbifold_cone, (2, 1.0), "eta", 1, (_BELOW_TINY, 700.5)),
+    (D.small_eta_asymptotics, (2, 0.1), "w", 0, (0, 201)),
+    (D.small_eta_asymptotics, (2, 0.1), "eta", 1, (_BELOW_TINY,)),
+    (D.fp_asymptotics_reference, (2, 0.1), "w", 0, (0, 201)),
+    (D.fp_asymptotics_reference, (2, 0.1), "eta", 1, (_BELOW_TINY,)),
+    (D.zeta_prime0_spindle, (1.0, 1.0), "a", 0, (_BELOW_TINY,)),
+    (D.zeta_prime0_spindle, (1.0, 1.0), "K", 1, (_BELOW_TINY,)),
+    (D.zeta_prime0_spherical_cone, (1.0, 1.0), "a", 0, (_BELOW_TINY,)),
+    (D.zeta_prime0_spherical_cone, (1.0, 1.0), "K", 1, (_BELOW_TINY,)),
+    (D.zeta0_spindle, (1.0,), "a", 0, (_BELOW_TINY,)),
+    (D.zeta0_unit_disk_cone, (1.0,), "a", 0, (_BELOW_TINY,)),
+    (D.logdet_flat_disk, (1.0,), "r", 0, (_BELOW_TINY,)),
+    (D.logdet_poincare_cap, (1.0,), "eta", 0, (_BELOW_TINY, 700.5)),
+    (D.rescale_logdet, (1.0, 0.5, 2.0), "logdet", 0, ()),
+    (D.rescale_logdet, (1.0, 0.5, 2.0), "zeta0", 1, ()),
+    (D.rescale_logdet, (1.0, 0.5, 2.0), "C", 2, (_BELOW_TINY,)),
+    (D.annulus_ratio_closed_form, (1.0, 2.0), "a", 0, (_BELOW_TINY,)),
+    (D.annulus_ratio_closed_form, (1.0, 2.0), "K", 1, (1.0,)),
+    (D.verify_identities, (1e-8,), "tol", 0, (0.0,)),
+    (PA.ConformalFactor, (1.0, 0.0), "a", 0, (_BELOW_TINY,)),
+    (PA.ConformalFactor, (1.0, 0.0), "K", 1, (-1.0,)),
+    (PA.ConformalFactor(1.0, 0.5).psi, (0.5,), "r", 0, (_BELOW_TINY, 1.5)),
+    (PA.ConformalFactor(1.0, 0.5).dpsi, (0.5,), "r", 0, (_BELOW_TINY, math.nextafter(1.0, 2.0))),
+    (PA.grad_psi_sq, (1.0, 0.5, 0.5), "a", 0, (_BELOW_TINY,)),
+    (PA.grad_psi_sq, (1.0, 0.5, 0.5), "K", 1, (-1.0,)),
+    (PA.grad_psi_sq, (1.0, 0.5, 0.5), "r", 2, (_BELOW_TINY, 1.5)),
+    (PA.pa_annulus_numeric, (1.0, 2.0), "a", 0, (_BELOW_TINY,)),
+    (PA.pa_annulus_numeric, (1.0, 2.0), "K", 1, (1.0,)),
+    (PA.pa_disk_numeric, (1.0,), "eta", 0, (_BELOW_TINY, 700.5)),
+]
 
 
 class TestLogGamma:
@@ -300,6 +355,30 @@ class TestBarnes:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "fn, args, name, pos, bad",
+        [
+            pytest.param(fn, args, name, pos, bad, id=f"{fn.__qualname__}-{name}={bad!r}")
+            for fn, args, name, pos, outside in VALIDATION_CONTRACT
+            for bad in (True, math.nan, math.inf, -math.inf, *outside)
+        ],
+    )
+    def test_contract(self, fn, args, name, pos, bad):
+        fn(*args)
+        bad_args = list(args)
+        bad_args[pos] = bad
+        with pytest.raises(ValueError) as exc:
+            fn(*bad_args)
+        assert str(exc.value).startswith(name + " "), str(exc.value)
+
+    def test_range_edges_accepted(self):
+        assert math.isfinite(log_gamma(5e-324))
+        D.ConeGeometry(_TINY, 700.0)
+        D.CurvedDiskGeometry(_TINY, math.nextafter(-1.0, 0.0))
+        D.annulus_ratio_closed_form(1.0, math.nextafter(1.0, 2.0))
+        cf = PA.ConformalFactor(1.0, 0.5)
+        cf.psi(_TINY), cf.psi(1.0), cf.dpsi(1.0)
+
     def test_barnes_args(self):
         with pytest.raises(ValueError):
             BarnesArgs(0.0, 1.0, 1.0)
