@@ -115,9 +115,9 @@ class IdentityReport:
 
 
 def _log_tanh_half(eta: float) -> float:
-    # log tanh(eta/2) without cancellation at either end
-    e = math.exp(-eta)
-    return math.log1p(-e) - math.log1p(e)
+    # log tanh(eta/2) = log(1 - e^-eta) - log(1 + e^-eta), without
+    # cancellation at either end
+    return math.log(-math.expm1(-eta)) - math.log1p(math.exp(-eta))
 
 
 def _inv_sech_sq_half(eta: float) -> float:

@@ -62,6 +62,11 @@ class TestDet:
             assert rc == 0, argv
             assert out.startswith("logdet = "), argv
 
+    def test_tiny_radius_evaluates(self, capsys):
+        rc, out, err = run(capsys, ["det", "orbifold", "--w", "3", "--eta", "1e-17"])
+        assert rc == 0 and err == ""
+        assert math.isfinite(float(out.splitlines()[0].split("=")[1]))
+
     def test_spindle_sign_convention(self, capsys):
         # det prints logdet = -zeta'(0); the library function returns zeta'(0)
         from conedet.determinants import zeta_prime0_spindle
