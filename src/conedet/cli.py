@@ -53,6 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: object) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
@@ -204,7 +206,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _points(args: argparse.Namespace, names: tuple[str, ...], grids: list[tuple[str, list[float]]]) -> list[dict]:
+def _points(
+    args: argparse.Namespace, names: tuple[str, ...], grids: list[tuple[str, list[float]]]
+) -> list[dict]:
     """Every parameter point, keyed in the kind's order, of a det (no grids)
     or table call, first grid outermost.  Raises ValueError for a missing,
     extra or doubly given parameter."""
@@ -237,12 +241,20 @@ def _record(res: EvalResult, params: dict) -> dict:
     }
 
 
-def _csv(names: tuple[str, ...], results: list[tuple[dict, EvalResult]]) -> str:
-    lines = [",".join(list(names) + ["value", "abs_err"])]
-    lines.extend(
-        ",".join(_fmt(v) for v in [*point.values(), res.value, res.abs_err]) for point, res in results
-    )
-    return "\n".join(lines) + "\n"
+def _csv(columns: list[str], rows: list[list]) -> str:
+    return "\n".join([",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
+def _records(columns: list[str], rows: list[list], fmt: str) -> str:
+    """rows as CSV under a header line, or as a JSON array of objects keyed by column."""
+    if fmt == "json":
+        return _json([dict(zip(columns, row)) for row in rows]) + "\n"
+    return _csv(columns, rows)
+
+
+def _results_csv(names: tuple[str, ...], results: list[tuple[dict, EvalResult]]) -> str:
+    rows = [[*point.values(), res.value, res.abs_err] for point, res in results]
+    return _csv([*names, "value", "abs_err"], rows)
 
 
 def _cmd_det(args: argparse.Namespace) -> str:
@@ -252,7 +264,7 @@ def _cmd_det(args: argparse.Namespace) -> str:
     if args.format == "json":
         return _json(_record(res, params)) + "\n"
     if args.format == "csv":
-        return _csv(names, [(params, res)])
+        return _results_csv(names, [(params, res)])
     return (
         f"logdet = {_fmt(res.value)}\n"
         f"abs_err = {_fmt(res.abs_err)}\n"
@@ -279,7 +291,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
     results = [(point, evaluate(point)) for point in _points(args, names, grids)]
     if args.format == "json":
         return _json([_record(res, point) for point, res in results]) + "\n"
-    return _csv(names, results)
+    return _results_csv(names, results)
 
 
 def _cmd_asympt(args: argparse.Namespace) -> str:
@@ -299,37 +311,16 @@ def _cmd_asympt(args: argparse.Namespace) -> str:
             fp = fp_asymptotics_reference(args.w, eta)
             row += [fp, exact - fp]
         rows.append(row)
-    if args.format == "json":
-        return _json([dict(zip(columns, row)) for row in rows]) + "\n"
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _records(columns, rows, args.format)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, bool]:
     reports = verify_identities(tol=args.tol)
     ok = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = [
-            {
-                "identity": r.identity_name,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "abs_diff": r.abs_diff,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in reports
-        ]
-        return _json(payload) + "\n", ok
-    if args.format == "csv":
-        lines = ["identity,lhs,rhs,abs_diff,tolerance,passed"]
-        lines.extend(
-            f"{r.identity_name},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.abs_diff)},"
-            f"{_fmt(r.tolerance)},{_fmt(r.passed)}"
-            for r in reports
-        )
-        return "\n".join(lines) + "\n", ok
+    if args.format != "plain":
+        columns = ["identity", "lhs", "rhs", "abs_diff", "tolerance", "passed"]
+        rows = [[r.identity_name, r.lhs, r.rhs, r.abs_diff, r.tolerance, r.passed] for r in reports]
+        return _records(columns, rows, args.format), ok
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.identity_name} "
         f"(abs_diff = {_fmt(r.abs_diff)}, tol = {_fmt(r.tolerance)})"

@@ -50,7 +50,6 @@ def _quad_or_default(quad: QuadratureConfig | None) -> QuadratureConfig:
     return _DEFAULT_QUAD if quad is None else quad
 
 
-
 # Stirling series coefficients B_{2j} / (2j (2j-1)) for log Gamma.
 _STIRLING = (
     1.0 / 12.0,
@@ -111,14 +110,19 @@ _TINY = 1e-300
 _ETA_MAX = 700.0
 
 
-def _real(name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False) -> float:
-    """value as a float, or a ValueError naming the parameter and its valid
-    range unless value is a finite real number (not a bool) with
-    lo <= value <= hi (lo < value when open_lo)."""
+def _real(
+    name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False
+) -> float:
+    """value as a float if it is a finite real number (not a bool) with
+    lo <= value <= hi (lo < value when open_lo); otherwise a ValueError
+    that names the parameter and the range."""
     if value.__class__ is not float:  # plain floats, the hot case, skip the type checks
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
     if not (math.isfinite(value) and (value > lo if open_lo else value >= lo) and value <= hi):
         left = "(" if open_lo or lo == -math.inf else "["
         right = "]" if hi < math.inf else ")"

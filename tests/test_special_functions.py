@@ -30,7 +30,8 @@ _TINY = 1e-300
 _BELOW_TINY = math.nextafter(_TINY, 0.0)
 
 # (entry point, valid arguments, parameter, its position, values just
-# outside its range); every parameter also rejects a bool, NaN and +-inf
+# outside its range); every parameter also rejects a bool, NaN, +-inf and
+# an integer too large for a double
 VALIDATION_CONTRACT = [
     (log_gamma, (1.0,), "x", 0, (0.0,)),
     (digamma, (1.0,), "x", 0, (0.0,)),
@@ -358,9 +359,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "fn, args, name, pos, bad",
         [
-            pytest.param(fn, args, name, pos, bad, id=f"{fn.__qualname__}-{name}={bad!r}")
+            pytest.param(fn, args, name, pos, bad, id=f"{fn.__qualname__}-{name}={bad!r:.16}")
             for fn, args, name, pos, outside in VALIDATION_CONTRACT
-            for bad in (True, math.nan, math.inf, -math.inf, *outside)
+            for bad in (True, math.nan, math.inf, -math.inf, 10**400, *outside)
         ],
     )
     def test_contract(self, fn, args, name, pos, bad):
