@@ -24,8 +24,6 @@ from conedet.special_functions import (
 LOG_2PI = math.log(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015328606065121
 
-# reference values frozen from mpmath at 40 significant digits
-
 _TINY = 1e-300
 _BELOW_TINY = math.nextafter(_TINY, 0.0)
 
@@ -79,6 +77,8 @@ VALIDATION_CONTRACT = [
     (PA.pa_annulus_numeric, (1.0, 2.0), "K", 1, (1.0,)),
     (PA.pa_disk_numeric, (1.0,), "eta", 0, (_BELOW_TINY, 700.5)),
 ]
+
+# reference values frozen from mpmath at 40 significant digits
 
 
 class TestLogGamma:
