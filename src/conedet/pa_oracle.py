@@ -28,6 +28,10 @@ __all__ = [
     "pa_disk_numeric",
 ]
 
+# Inner radii of the annulus that the area quadrature handles.
+_RHO_MIN = 1e-150
+_RHO_MAX = 1.0 - 1e-15
+
 
 @dataclass(frozen=True)
 class ConformalFactor:
@@ -102,21 +106,29 @@ def _area_term_closed_form(a: float, K: float) -> float:
 def pa_annulus_numeric(a: float, K: float, quad: QuadratureConfig | None = None) -> PAIntegralBreakdown:
     """Anomaly functional for the cone-metric annulus K^(-1/2a) <= |z| <= 1
     with the area term done by quadrature.  Needs K > 1 so the inner circle
-    sits strictly inside the disk.  The total equals
-    annulus_ratio_closed_form(a, K) up to quadrature error."""
+    sits strictly inside the disk, and an inner radius in [1e-150, 1 - 1e-15]
+    so the quadrature stays finite and its breakpoints distinct.  The total
+    equals annulus_ratio_closed_form(a, K) up to quadrature error."""
     a = _real("a", a, _TINY)
     K = _real("K", K, 1.0, open_lo=True)
     quad = _quad_or_default(quad)
 
     cf = ConformalFactor(a, K)
     rho = K ** (-1.0 / (2.0 * a))
+    # below 1e-150 psi'(r)^2 overflows near r = rho; above 1 - 1e-15 the
+    # breakpoints round together
+    if not _RHO_MIN <= rho <= _RHO_MAX:
+        raise ValueError(
+            "a and K must put the inner radius K^(-1/(2a)) in [1e-150, 1 - 1e-15], "
+            f"got {rho!r} at a = {a!r}, K = {K!r}"
+        )
 
     def integrand(r: float) -> float:
         d = cf.dpsi(r)
         return d * d * r
 
-    n_seed = 8
-    seeds = tuple(rho ** (1.0 - k / n_seed) for k in range(n_seed + 1))
+    # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner edge
+    seeds = (rho, rho ** (2.0 / 3.0), rho ** (1.0 / 3.0), 1.0)
     raw, _ = adaptive_quadrature(integrand, seeds, quad.abs_tol, quad.max_subdivisions)
 
     curvature = math.fsum(
@@ -133,17 +145,23 @@ def pa_disk_numeric(eta: float, quad: QuadratureConfig | None = None) -> PAInteg
     """Anomaly functional for the smooth curvature -1 cap of geodesic
     radius eta, realized on the flat disk of radius tanh(eta/2).  The total
     equals logdet_poincare_cap(eta) - logdet_flat_disk(tanh(eta/2)) up to
-    quadrature error."""
+    quadrature error.  Needs tanh(eta/2) < 1.0 in floating point (eta below
+    about 38.1)."""
     eta = _real("eta", eta, _TINY, _ETA_MAX)
     quad = _quad_or_default(quad)
 
     T = math.tanh(0.5 * eta)
+    if T == 1.0:
+        raise ValueError(f"eta must keep tanh(eta/2) below 1.0 in floating point, got {eta!r}")
 
     def integrand(r: float) -> float:
         u = 1.0 - r * r
         return 4.0 * r ** 3 / (u * u)
 
-    seeds = (0.0, 0.25 * T, 0.5 * T, 0.75 * T, T)
+    # three panels whose distances 1 - r to the pole at r = 1 fall
+    # geometrically from 1 to 1 - T; log(1 - T) = -log1p((e^eta - 1)/2)
+    log_gap = -math.log1p(0.5 * math.expm1(eta))
+    seeds = (0.0, -math.expm1(log_gap / 3.0), -math.expm1(2.0 * log_gap / 3.0), T)
     raw, _ = adaptive_quadrature(integrand, seeds, quad.abs_tol, quad.max_subdivisions)
 
     # 1 - T^2 = 2/(1 + cosh eta), stable for all eta

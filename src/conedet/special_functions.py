@@ -6,7 +6,9 @@ Everything here is self-contained double-precision scalar code:
   Stirling series after shifting the argument to Re z >= 10,
 * digamma the same way,
 * Hurwitz zeta and its s-derivative from Euler-Maclaurin summation with
-  analytically differentiated terms,
+  analytically differentiated terms, for s >= -5; the value at an integer
+  s <= 0 is the terminating Bernoulli polynomial, and the derivative at
+  s = -1, x <= 3 a Taylor series in x,
 * the derivative at 0 of the two-variable Barnes zeta
   sum_{m,n>=0} (a m + b n + x)^(-s), evaluated through an integral
   representation whose integrand decays like exp(-2 pi y).
@@ -99,6 +101,62 @@ _EM_COEFF = (
     9.336734257095045e-31,
     -2.36502241570063e-32,
 )
+
+# zeta(k) - 1 for k = 2, 3, ..., 45, the coefficients of the Taylor series
+# of zeta'(-1, x) about x = 2; the first omitted term is below 2e-17 for
+# |x - 2| <= 1.
+_ZETA_MINUS_ONE = (
+    0.6449340668482264,
+    0.2020569031595943,
+    0.08232323371113819,
+    0.03692775514336993,
+    0.01734306198444914,
+    0.008349277381922827,
+    0.00407735619794434,
+    0.0020083928260822143,
+    0.0009945751278180853,
+    0.0004941886041194645,
+    0.0002460865533080483,
+    0.00012271334757848915,
+    6.124813505870483e-05,
+    3.058823630702049e-05,
+    1.528225940865187e-05,
+    7.637197637899763e-06,
+    3.81729326499984e-06,
+    1.908212716553939e-06,
+    9.539620338727962e-07,
+    4.769329867878064e-07,
+    2.38450502727733e-07,
+    1.1921992596531106e-07,
+    5.960818905125948e-08,
+    2.980350351465228e-08,
+    1.4901554828365043e-08,
+    7.45071178983543e-09,
+    3.725334024788457e-09,
+    1.862659723513049e-09,
+    9.313274324196682e-10,
+    4.656629065033784e-10,
+    2.3283118336765053e-10,
+    1.164155017270052e-10,
+    5.820772087902701e-11,
+    2.9103850444971e-11,
+    1.4551921891041985e-11,
+    7.275959835057482e-12,
+    3.637979547378651e-12,
+    1.818989650307066e-12,
+    9.094947840263888e-13,
+    4.547473783042154e-13,
+    2.2737368458246524e-13,
+    1.136868407680228e-13,
+    5.684341987627585e-14,
+    2.842170976889302e-14,
+)
+
+# Lowest s the Hurwitz pair accepts.  At s < 0 the Euler-Maclaurin head
+# sum cancels against the tail: against mpmath over x in [1e-3, 1e3], value
+# and s-derivative are good to 2e-10 (1 + |result|) at s = -5, and each unit
+# of s lower costs about a factor 10 (1e-6 at s = -8, no digits at s = -12).
+_S_MIN = -5.0
 
 # The Stirling tail reaches double precision once Re z is past this line.
 _STIRLING_EDGE = 10.0
@@ -200,12 +258,15 @@ def im_log_gamma(p: float, q: float) -> float:
     Odd in q by construction: the q < 0 branch returns the negated
     reflection, so im_log_gamma(p, -q) == -im_log_gamma(p, q) exactly.
     """
-    p = _real("p", p, 0.0, open_lo=True)
-    q = _real("q", q)
+    return _im_log_gamma(_real("p", p, 0.0, open_lo=True), _real("q", q))
+
+
+def _im_log_gamma(p: float, q: float) -> float:
+    # the body of im_log_gamma, for floats the caller has already checked
     if q == 0.0:
         return 0.0
     if q < 0.0:
-        return -im_log_gamma(p, -q)
+        return -_im_log_gamma(p, -q)
 
     acc = 0.0
     while p < _STIRLING_EDGE:
@@ -291,30 +352,57 @@ def _euler_maclaurin(s: float, x: float, edge: float) -> tuple[float, float, boo
 
 
 def _negative_integer_value(s: float, x: float) -> float:
-    """Hurwitz zeta at a negative integer s.  The Bernoulli correction
-    series terminates and the remainder vanishes identically, so the
-    expansion point can stay at x itself and no cancellation builds up."""
-    q = x
-    qs = q ** (-s)
-    value = qs * q / (s - 1.0) + 0.5 * qs
+    """Hurwitz zeta at an integer s <= 0, -B_{1-s}(x)/(1-s).  The Bernoulli
+    correction series terminates and the remainder vanishes identically,
+    so the expansion point can stay at x itself and no cancellation builds
+    up; at s = 0 it is 1/2 - x.  Every power of x left is nonnegative."""
+    n = -s
+    value = x ** (n + 1.0) / (s - 1.0) + 0.5 * x**n
     poch = s
-    qpow = qs / q
-    inv_q2 = 1.0 / (q * q)
     for j, c in enumerate(_EM_COEFF, start=1):
         if j > 1:
             poch *= (s + (2 * j - 3)) * (s + (2 * j - 2))
-            qpow *= inv_q2
         if poch == 0.0:
             break
-        value += c * poch * qpow
+        value += c * poch * x ** (n + 1.0 - 2 * j)
     return value
 
 
-def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
-    s = _real("s", s)
+def _zeta_sderiv_minus1_small(x: float) -> float:
+    """zeta'(-1, x) for 0 < x <= 3 from its Taylor series about x = 2.
+
+    d/dx zeta'(-1, x) = x - 1/2 + log Gamma(x) - log(2 pi)/2, and
+    log Gamma(2 + t) = (1 - gamma) t + sum_{k>=2} (-1)^k (zeta(k) - 1) t^k / k,
+    so with zeta'(-1, 2) = zeta_R'(-1)
+    zeta'(-1, 2 + t) = zeta_R'(-1) + (3/2 - log(2 pi)/2) t + (2 - gamma) t^2 / 2
+                       + sum_{k>=2} (-1)^k (zeta(k) - 1) / (k (k+1)) t^(k+1).
+    For x <= 1 the shift zeta'(-1, x) = zeta'(-1, x + 1) - x log x first
+    brings x into (1, 2], so |t| <= 1 and the series converges like 2^-k.
+    Unlike Euler-Maclaurin at s = -1 it sums no growing terms, so nothing
+    cancels."""
+    shift = 0.0
+    if x <= 1.0:
+        shift = x * math.log(x)
+        x += 1.0
+    t = x - 2.0
+    u = -t
+    series = 0.0
+    for k in range(len(_ZETA_MINUS_ONE) + 1, 1, -1):
+        series = series * u + _ZETA_MINUS_ONE[k - 2] / (k * (k + 1))
+    # 3/2 - log(2 pi)/2 and (2 - gamma)/2, each rounded once
+    poly = t * (0.5810614667953272 + t * (0.7113921675492336 + t * series))
+    return _ZETA_PRIME_MINUS_ONE + poly - shift
+
+
+def _hurwitz_args(s: float, x: float) -> tuple[float, float]:
+    s = _real("s", s, _S_MIN)
     x = _real("x", x, 0.0, open_lo=True)
     if s == 1.0:
         raise ValueError("s = 1 is the pole of the Hurwitz zeta function")
+    return s, x
+
+
+def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
     edge = max(18.0, abs(s) + 8.0) if s >= -1.5 else max(10.0, abs(s) + 5.0)
     value = deriv = 0.0
     for _ in range(4):
@@ -322,19 +410,24 @@ def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
         if converged:
             break
         edge *= 2.0
-    if s <= -1.0 and s.is_integer():
-        value = _negative_integer_value(s, x)
     return value, deriv
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
-    """Hurwitz zeta(s, x) = sum_{k>=0} (k+x)^(-s), continued in s."""
+    """Hurwitz zeta(s, x) = sum_{k>=0} (k+x)^(-s), continued in s >= -5."""
+    s, x = _hurwitz_args(s, x)
+    if s <= 0.0 and s.is_integer():
+        return _negative_integer_value(s, x)
     return _hurwitz_pair(s, x)[0]
 
 
 def hurwitz_zeta_sderiv(s: float, x: float) -> float:
-    """d/ds of the Hurwitz zeta at (s, x), from the same Euler-Maclaurin
-    expansion with every term differentiated analytically in s."""
+    """d/ds of the Hurwitz zeta at (s, x), s >= -5, from the same
+    Euler-Maclaurin expansion with every term differentiated analytically
+    in s; at s = -1 and x <= 3, from a Taylor series in x instead."""
+    s, x = _hurwitz_args(s, x)
+    if s == -1.0 and x <= 3.0:
+        return _zeta_sderiv_minus1_small(x)
     return _hurwitz_pair(s, x)[1]
 
 
@@ -347,11 +440,12 @@ def _barnes_integrand(a: float, b: float, x: float) -> Callable[[float], float]:
     p = x / a
     scale = b / a
     limit = -(scale / math.pi) * digamma(p)
+    two_pi = 2.0 * math.pi
 
     def f(y: float) -> float:
         if y < 1e-10:
             return limit
-        return -2.0 * im_log_gamma(p, scale * y) / math.expm1(2.0 * math.pi * y)
+        return -2.0 * _im_log_gamma(p, scale * y) / math.expm1(two_pi * y)
 
     return f
 
@@ -384,7 +478,7 @@ def barnes_zeta_prime0(args: BarnesArgs, quad: QuadratureConfig | None = None) -
     p = x / a
 
     y_end = min(quad.y_max_cap, _truncation_point(a, b, x, quad.abs_tol))
-    seeds = [t for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0) if t < y_end]
+    seeds = [t for t in (0.0, 1.0, 3.0, 8.0, 16.0, 32.0) if t < y_end]
     seeds.append(y_end)
     integral, quad_err = adaptive_quadrature(
         _barnes_integrand(a, b, x), seeds, quad.abs_tol, quad.max_subdivisions

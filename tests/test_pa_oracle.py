@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conedet.pa_oracle as PA
 from conedet.determinants import annulus_ratio_closed_form, logdet_flat_disk, logdet_poincare_cap
 from conedet.pa_oracle import (
     ConformalFactor,
@@ -118,6 +119,12 @@ class TestAnnulusOracle:
         with pytest.raises(ValueError):
             pa_annulus_numeric(0.0, 2.0)
 
+    def test_inner_radius_out_of_reach_names_a_and_K(self):
+        # K^(-1/2a) underflows, overflows psi'(r)^2, or rounds to 1
+        for a, K in ((1e-3, 10.0), (0.01, 1e300), (0.5, 1e300), (10.0, 1.0 + 1e-15)):
+            with pytest.raises(ValueError, match=r"^a and K must put the inner radius"):
+                pa_annulus_numeric(a, K)
+
     def test_respects_quad_config(self):
         got = pa_annulus_numeric(1.0, 2.0, QuadratureConfig(abs_tol=1e-9))
         assert abs(got.total - annulus_ratio_closed_form(1.0, 2.0)) <= 1e-8
@@ -157,6 +164,23 @@ class TestDiskOracle:
             pa_disk_numeric(0.0)
         with pytest.raises(ValueError):
             pa_disk_numeric(800.0)
+
+    def test_edge_rounding_to_one_names_eta(self):
+        for eta in (40.0, 700.0):
+            with pytest.raises(ValueError, match=r"^eta must keep tanh\(eta/2\) below 1.0"):
+                pa_disk_numeric(eta)
+
+
+def test_identity_grid_takes_one_pass_of_three_panels(count_evals):
+    # on the verify_identities grid each oracle meets abs_tol on its seed
+    # panels: 75 evaluations, no bisection
+    calls = count_evals(PA)
+    for a in (0.5, 1.0, 2.0):
+        for K in (2.0, 5.0, 10.0):
+            pa_annulus_numeric(a, K)
+    for eta in (0.5, 1.0, 3.0):
+        pa_disk_numeric(eta)
+    assert calls == [75] * 12
 
 
 class TestBreakdownType:

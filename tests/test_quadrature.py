@@ -1,16 +1,110 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from conedet.quadrature import QuadratureConfig, QuadratureError, adaptive_quadrature
+from conedet.quadrature import (
+    _WG,
+    _WGK,
+    _XGK,
+    QuadratureConfig,
+    QuadratureError,
+    _gk25,
+    adaptive_quadrature,
+)
 
 
-def test_degree_13_polynomial_exact():
-    # G7-K15 is exact through degree 13 on a single panel
-    val, err = adaptive_quadrature(lambda x: 14.0 * x**13, (0.0, 1.0), 1e-12, 50)
+def _laurie_kronrod(n):
+    """Recurrence coefficients (a, b) of the (2n+1)-point Gauss-Kronrod rule
+    for the Legendre weight, by Laurie's algorithm (Math. Comp. 66, 1997)."""
+    zero = mpmath.mpf(0)
+    a = [zero] * (2 * n + 1)
+    b = [zero] * (2 * n + 1)
+    b[0] = mpmath.mpf(2)
+    for k in range(1, min(3 * n // 2 + 2, 2 * n + 1)):
+        b[k] = mpmath.mpf(k * k) / (4 * k * k - 1)
+    s = [zero] * (n // 2 + 2)
+    t = list(s)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = zero
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    for j in range(n // 2, -1, -1):
+        s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        u = zero
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u -= (a[k + n + 1] - a[l]) * t[j + 1] + b[k + n + 1] * s[j + 1] - b[l] * s[j + 2]
+            s[j + 1] = u
+        if m % 2 == 0:
+            k = m // 2
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            k = (m + 1) // 2
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+def _golub_welsch(a, b):
+    """Nodes (descending) and weights of the Gauss rule of a Jacobi matrix."""
+    size = len(a)
+    jac = mpmath.zeros(size, size)
+    for i in range(size):
+        jac[i, i] = a[i]
+        if i + 1 < size:
+            jac[i, i + 1] = jac[i + 1, i] = mpmath.sqrt(b[i + 1])
+    nodes, vecs = mpmath.eigsy(jac)
+    rule = [(nodes[i], b[0] * vecs[0, i] ** 2) for i in range(size)]
+    return sorted(rule, key=lambda nw: -nw[0])
+
+
+def test_tables_match_laurie_construction():
+    mpmath.mp.dps = 30
+    kronrod = _golub_welsch(*_laurie_kronrod(12))
+    legendre_b = [mpmath.mpf(2)] + [mpmath.mpf(k * k) / (4 * k * k - 1) for k in range(1, 12)]
+    gauss = _golub_welsch([mpmath.mpf(0)] * 12, legendre_b)
+    # every tabulated double is the nearest double to the 30-digit value
+    pairs = [*zip(kronrod[:13], _XGK, _WGK), *zip(gauss[:6], _XGK[1::2], _WG)]
+    for (x, w), xt, wt in pairs:
+        assert abs(x - xt) <= 0.5 * math.ulp(xt) + 1e-30 and abs(w - wt) <= 0.5 * math.ulp(wt), (xt, wt)
+
+
+def _moment_error(nodes, weights, degree):
+    got = math.fsum(w * (x**degree + (-x) ** degree) for x, w in zip(nodes, weights) if x)
+    got += math.fsum(w for x, w in zip(nodes, weights) if not x and degree == 0)
+    return abs(got - (2.0 / (degree + 1) if degree % 2 == 0 else 0.0))
+
+
+def test_rule_degrees():
+    # K25 integrates x^d over [-1, 1] exactly through d = 37, G12 through 23
+    for degree in range(38):
+        assert _moment_error(_XGK, _WGK, degree) <= 1e-15, degree
+    for degree in range(24):
+        assert _moment_error(_XGK[1::2], _WG, degree) <= 1e-15, degree
+    assert _moment_error(_XGK, _WGK, 38) > 1e-14
+    assert _moment_error(_XGK[1::2], _WG, 24) > 1e-8
+
+
+def test_degree_37_polynomial_exact():
+    # one K25 panel is exact through degree 37; the G12 estimate only
+    # through 23, so the adaptive loop still bisects this one
+    val, err = _gk25(lambda x: 38.0 * x**37, 0.0, 1.0)
+    assert abs(val - 1.0) <= 5e-15
+    assert err > 1e-8
+    val, err = adaptive_quadrature(lambda x: 38.0 * x**37, (0.0, 1.0), 1e-12, 50)
     assert abs(val - 1.0) <= 5e-15
     assert err >= 0.0
+    val, err = _gk25(lambda x: 24.0 * x**23, 0.0, 1.0)
+    assert abs(val - 1.0) <= 5e-15 and err <= 5e-15
 
 
 def test_sin_over_period():

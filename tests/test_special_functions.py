@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import conedet.determinants as D
 import conedet.pa_oracle as PA
+import conedet.special_functions as SF
 from conedet.quadrature import QuadratureConfig, QuadratureError
 from conedet.special_functions import (
     BarnesArgs,
@@ -35,9 +36,9 @@ VALIDATION_CONTRACT = [
     (digamma, (1.0,), "x", 0, (0.0,)),
     (im_log_gamma, (1.0, 1.0), "p", 0, (0.0,)),
     (im_log_gamma, (1.0, 1.0), "q", 1, ()),
-    (hurwitz_zeta, (2.0, 1.0), "s", 0, (1.0,)),
+    (hurwitz_zeta, (2.0, 1.0), "s", 0, (1.0, math.nextafter(-5.0, -6.0), -10.5, -41.0, -60.0, -400.0)),
     (hurwitz_zeta, (2.0, 1.0), "x", 1, (0.0,)),
-    (hurwitz_zeta_sderiv, (2.0, 1.0), "s", 0, (1.0,)),
+    (hurwitz_zeta_sderiv, (2.0, 1.0), "s", 0, (1.0, math.nextafter(-5.0, -6.0), -8.0, -12.0, -400.0)),
     (hurwitz_zeta_sderiv, (2.0, 1.0), "x", 1, (0.0,)),
     *((BarnesArgs, (1.0, 1.0, 1.0), name, i, (_BELOW_TINY,)) for i, name in enumerate("abx")),
     (barnes_zeta_prime0_orbifold, (2,), "w", 0, (0, 201, 2.0)),
@@ -225,6 +226,27 @@ class TestHurwitzZeta:
     def test_value_at_zero(self, x):
         assert abs(hurwitz_zeta(0.0, x) - (0.5 - x)) <= 1e-11
 
+    def test_integer_s_is_bernoulli_closed_form(self):
+        # zeta(-n, x) = -B_{n+1}(x)/(n+1), returned without Euler-Maclaurin
+        for x in (1e-300, 0.3, 2.0, 17.5, 1e6):
+            assert hurwitz_zeta(0.0, x) == 0.5 - x
+        mpmath.mp.dps = 30
+        for n in range(6):
+            for x in (1e-300, 0.01, 0.7, 3.0, 40.0, 1e6):
+                want = float(mpmath.zeta(-n, x))
+                assert abs(hurwitz_zeta(-float(n), x) - want) <= 1e-14 * (1.0 + abs(want)), (n, x)
+
+    def test_accuracy_down_to_lowest_accepted_s(self):
+        # the accepted range starts at s = -5, where the Euler-Maclaurin
+        # sums still hold 2e-10 relative to 1 + |result|
+        mpmath.mp.dps = 30
+        for s in (-5.0, -4.95, -4.5, -3.25):
+            for x in (1e-3, 0.0133, 0.316, 0.75, 1.78, 10.0, 316.0):
+                want = float(mpmath.zeta(s, x))
+                dwant = float(mpmath.zeta(s, x, 1))
+                assert abs(hurwitz_zeta(s, x) - want) <= 2.5e-10 * (1.0 + abs(want)), (s, x)
+                assert abs(hurwitz_zeta_sderiv(s, x) - dwant) <= 2.5e-10 * (1.0 + abs(dwant)), (s, x)
+
     def test_pole_and_domain(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 2.0)
@@ -263,6 +285,15 @@ class TestHurwitzSDeriv:
                 want = float(mpmath.zeta(s, x, 1))
                 got = hurwitz_zeta_sderiv(s, x)
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (s, x)
+
+    def test_minus1_series_against_mpmath(self):
+        # zeta'(-1, x) for x <= 3 comes from the Taylor series about x = 2
+        mpmath.mp.dps = 30
+        xs = [3.0 * k / 150 for k in range(1, 151)]
+        xs += [1e-300, 1e-12, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 2.0, math.nextafter(3.0, 0.0)]
+        for x in xs:
+            want = mpmath.zeta(-1, x, 1)
+            assert abs(hurwitz_zeta_sderiv(-1.0, x) - want) <= 1e-15, x
 
     def test_best_effort_other_s(self):
         mpmath.mp.dps = 30
@@ -341,6 +372,52 @@ class TestBarnes:
         assert barnes_zeta_prime0((1.0, 1.0, 1.0)).value == barnes_zeta_prime0(
             BarnesArgs(1.0, 1.0, 1.0)
         ).value
+
+    # zeta_B'(0; a, 1, 1) from mpmath: the same integral representation by
+    # tanh-sinh quadrature and mpmath's Hurwitz zeta, computed at 50 digits
+    # and rounded to 30; the first 12 angles are a = 1/w as doubles
+    CALIBRATION = [
+        (1.0, "-0.165421143700450929213919660243"),
+        (0.5, "0.0616950907664298081882968618491"),
+        (0.3333333333333333, "0.302707411545025801212933947341"),
+        (0.25, "0.547522565148224389318379174364"),
+        (0.2, "0.793896923333738800574093850303"),
+        (0.16666666666666666, "1.04105912505230142087137047286"),
+        (0.14285714285714285, "1.28867400111814247678071938281"),
+        (0.125, "1.53657271610248651479842827442"),
+        (0.1111111111111111, "1.78466104969373466112660918964"),
+        (0.1, "2.03288230339978844068390922627"),
+        (0.09090909090909091, "2.28120032311959334416626843123"),
+        (0.08333333333333333, "2.52959097089230405361496489368"),
+        (0.01, "24.4164594464912093133692939796"),
+        (2.0, "-0.255997366990211791961267860486"),
+        (3.0, "-0.277115740807587687579079616984"),
+        (4.54, "-0.297957001820712821322940626351"),
+        (7.0, "-0.356083386773848627386636170536"),
+        (7.87, "-0.386298306375048004300357939953"),
+        (10.0, "-0.480773089785377959882386253145"),
+        (12.0, "-0.593798637521779835141454648473"),
+        (14.0, "-0.727845220798843279571411294076"),
+        (16.0, "-0.880764826696144600709699167334"),
+        (22.0, "-1.43606493428228357610531239669"),
+        (30.0, "-2.35797227245197064278134484132"),
+        (99.0, "-14.894676844072872070569986951"),
+        (100.0, "-15.1150889583948978205986582542"),
+    ]
+
+    @pytest.mark.parametrize("a, want", CALIBRATION)
+    def test_error_bar_holds_against_mpmath(self, a, want):
+        mpmath.mp.dps = 30
+        res = barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+        assert abs(mpmath.mpf(res.value) - mpmath.mpf(want)) <= res.abs_err
+
+    def test_one_pass_of_three_panels(self, count_evals):
+        # on [0.01, 100] the G12/K25 estimate meets abs_tol on the seed
+        # panels [0, 1], [1, 3], [3, y_end]: 75 evaluations, no bisection
+        calls = count_evals(SF)
+        for k in range(41):
+            barnes_zeta_prime0(BarnesArgs(10.0 ** (-2.0 + k / 10.0), 1.0, 1.0))
+        assert calls == [75] * 41
 
     def test_quadrature_failure_surfaces(self):
         with pytest.raises(QuadratureError):
