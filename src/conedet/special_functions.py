@@ -355,7 +355,8 @@ def _negative_integer_value(s: float, x: float) -> float:
     """Hurwitz zeta at an integer s <= 0, -B_{1-s}(x)/(1-s).  The Bernoulli
     correction series terminates and the remainder vanishes identically,
     so the expansion point can stay at x itself and no cancellation builds
-    up; at s = 0 it is 1/2 - x.  Every power of x left is nonnegative."""
+    up; at s = 0 it is 1/2 - x.  Only nonnegative powers of x appear, so a
+    tiny x cannot divide by zero."""
     n = -s
     value = x ** (n + 1.0) / (s - 1.0) + 0.5 * x**n
     poch = s
