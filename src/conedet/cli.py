@@ -257,6 +257,24 @@ def _results_csv(names: tuple[str, ...], results: list[tuple[dict, EvalResult]])
     return _csv([*names, "value", "abs_err"], rows)
 
 
+def _evaluate_by_angle(evaluate: Callable[[dict], EvalResult], points: list[dict]) -> list[EvalResult]:
+    """evaluate at every point, returned in the order of points.  The points
+    are visited in a stable order sorted by the angle a (kinds without one
+    keep their order), so points sharing an angle come one after another and
+    hit the Barnes cache however many angles the grid has.  A failure raises
+    what evaluating in the order of points would have raised first."""
+    results: dict[int, EvalResult] = {}
+    for i in sorted(range(len(points)), key=lambda i: points[i].get("a", 0.0)):
+        try:
+            results[i] = evaluate(points[i])
+        except Exception:
+            for j in range(i):
+                if j not in results:
+                    evaluate(points[j])
+            raise
+    return [results[i] for i in range(len(points))]
+
+
 def _cmd_det(args: argparse.Namespace) -> str:
     names, evaluate = _KINDS[args.kind]
     (params,) = _points(args, names, [])
@@ -288,7 +306,8 @@ def _cmd_table(args: argparse.Namespace) -> str:
             raise ValueError(f"parameter {name!r} gridded twice")
         grids.append((name, values))
 
-    results = [(point, evaluate(point)) for point in _points(args, names, grids)]
+    points = _points(args, names, grids)
+    results = list(zip(points, _evaluate_by_angle(evaluate, points)))
     if args.format == "json":
         return _json([_record(res, point) for point, res in results]) + "\n"
     return _results_csv(names, results)

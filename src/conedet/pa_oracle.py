@@ -113,7 +113,6 @@ def pa_annulus_numeric(a: float, K: float, quad: QuadratureConfig | None = None)
     K = _real("K", K, 1.0, open_lo=True)
     quad = _quad_or_default(quad)
 
-    cf = ConformalFactor(a, K)
     rho = K ** (-1.0 / (2.0 * a))
     # below 1e-150 psi'(r)^2 overflows near r = rho; above 1 - 1e-15 the
     # breakpoints round together
@@ -123,8 +122,12 @@ def pa_annulus_numeric(a: float, K: float, quad: QuadratureConfig | None = None)
             f"got {rho!r} at a = {a!r}, K = {K!r}"
         )
 
+    # ConformalFactor(a, K).dpsi(r)^2 r with the same arithmetic, less its
+    # checks: every node lies in [rho, 1], and K > 1 keeps 1 + K r^2a > 1
+    am1, two_aK, e_num, e_den = a - 1.0, 2.0 * a * K, 2.0 * a - 1.0, 2.0 * a
+
     def integrand(r: float) -> float:
-        d = cf.dpsi(r)
+        d = am1 / r - two_aK * r ** e_num / (1.0 + K * r ** e_den)
         return d * d * r
 
     # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner edge

@@ -6,9 +6,9 @@ Everything here is self-contained double-precision scalar code:
   Stirling series after shifting the argument to Re z >= 10,
 * digamma the same way,
 * Hurwitz zeta and its s-derivative from Euler-Maclaurin summation with
-  analytically differentiated terms, for s >= -5; the value at an integer
-  s <= 0 is the terminating Bernoulli polynomial, and the derivative at
-  s = -1, x <= 3 a Taylor series in x,
+  analytically differentiated terms, for -5 <= s <= 400; the value at an
+  integer s <= 0 is the terminating Bernoulli polynomial, and the
+  derivative at s = -1, x <= 3 a Taylor series in x,
 * the derivative at 0 of the two-variable Barnes zeta
   sum_{m,n>=0} (a m + b n + x)^(-s), evaluated through an integral
   representation whose integrand decays like exp(-2 pi y).
@@ -157,6 +157,13 @@ _ZETA_MINUS_ONE = (
 # and s-derivative are good to 2e-10 (1 + |result|) at s = -5, and each unit
 # of s lower costs about a factor 10 (1e-6 at s = -8, no digits at s = -12).
 _S_MIN = -5.0
+
+# Highest s the Hurwitz pair accepts.  The Euler-Maclaurin head sums about
+# s + 8 terms, so the cost grows linearly in s: over x in [1e-3, 1e3] a call
+# at s = 400 took at most 0.17 ms, and one at s = 1e5 took 47 ms (Python
+# 3.11 on one core of a Xeon server).  Against mpmath, value and derivative
+# hold 8e-16 (1 + |result|) up to s = 1000 wherever they fit a double.
+_S_MAX = 400.0
 
 # The Stirling tail reaches double precision once Re z is past this line.
 _STIRLING_EDGE = 10.0
@@ -396,11 +403,15 @@ def _zeta_sderiv_minus1_small(x: float) -> float:
 
 
 def _hurwitz_args(s: float, x: float) -> tuple[float, float]:
-    s = _real("s", s, _S_MIN)
+    s = _real("s", s, _S_MIN, _S_MAX)
     x = _real("x", x, 0.0, open_lo=True)
     if s == 1.0:
         raise ValueError("s = 1 is the pole of the Hurwitz zeta function")
     return s, x
+
+
+def _beyond_float_range(s: float, x: float) -> ValueError:
+    return ValueError(f"s and x put the Hurwitz zeta beyond the float range, got s = {s!r}, x = {x!r}")
 
 
 def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
@@ -415,21 +426,34 @@ def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
-    """Hurwitz zeta(s, x) = sum_{k>=0} (k+x)^(-s), continued in s >= -5."""
+    """Hurwitz zeta(s, x) = sum_{k>=0} (k+x)^(-s), continued in -5 <= s <= 400."""
     s, x = _hurwitz_args(s, x)
-    if s <= 0.0 and s.is_integer():
-        return _negative_integer_value(s, x)
-    return _hurwitz_pair(s, x)[0]
+    try:
+        if s <= 0.0 and s.is_integer():
+            value = _negative_integer_value(s, x)
+        else:
+            value = _hurwitz_pair(s, x)[0]
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise _beyond_float_range(s, x)
 
 
 def hurwitz_zeta_sderiv(s: float, x: float) -> float:
-    """d/ds of the Hurwitz zeta at (s, x), s >= -5, from the same
+    """d/ds of the Hurwitz zeta at (s, x), -5 <= s <= 400, from the same
     Euler-Maclaurin expansion with every term differentiated analytically
     in s; at s = -1 and x <= 3, from a Taylor series in x instead."""
     s, x = _hurwitz_args(s, x)
     if s == -1.0 and x <= 3.0:
         return _zeta_sderiv_minus1_small(x)
-    return _hurwitz_pair(s, x)[1]
+    try:
+        value = _hurwitz_pair(s, x)[1]
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise _beyond_float_range(s, x)
 
 
 def riemann_zeta_prime_minus1() -> float:

@@ -3,13 +3,17 @@ import math
 
 import pytest
 
-from conedet.cli import main
+import conedet.determinants as determinants
+import conedet.special_functions as SF
+from conedet.cli import _parse_grid, main
 from conedet.determinants import (
     ConeGeometry,
+    CurvedDiskGeometry,
     logdet_flat_disk,
     logdet_hyperbolic_cone,
     logdet_orbifold_cone,
     small_eta_asymptotics,
+    zeta_prime0_unit_disk_cone,
 )
 
 
@@ -117,6 +121,47 @@ class TestTable:
         assert len(records) == 3
         assert all(r["formula_tag"] == "disk-cone-logdet" for r in records)
         assert [r["params"]["K"] for r in records] == [0.0, 1.0, 2.0]
+
+    def test_one_barnes_quadrature_per_angle(self, capsys, count_evals):
+        # the inner a axis is longer than the 512-angle Barnes cache; points
+        # are visited grouped by angle and printed in grid order
+        calls = count_evals(SF)
+        determinants._barnes_a11.cache_clear()
+        argv = ["table", "diskcone", "--grid", "K=0,1,3", "--grid", "a=0.1,10,520,log"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and len(calls) == 520
+        rc, out_json, _ = run(capsys, [*argv, "--format", "json"])
+        assert rc == 0
+
+        angles, curvatures = _parse_grid("0.1,10,520,log"), (0.0, 0.5, 1.0)
+        point = {}
+        for a in angles:
+            for K in curvatures:
+                res = zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K))
+                point[a, K] = (-res.value, res.abs_err)
+        rows = [(a, K, *point[a, K]) for K in curvatures for a in angles]
+        assert out == "a,K,value,abs_err\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in rows
+        )
+        assert json.loads(out_json) == [
+            {"formula_tag": "disk-cone-logdet", "params": {"a": a, "K": K}, "value": v, "abs_err": e}
+            for a, K, v, e in rows
+        ]
+
+    def test_failure_is_the_first_in_grid_order(self, capsys):
+        # grouped by angle, (750, 1) would come before (600, 1e308); the
+        # error must still be the one grid order meets first
+        argv = ["table", "hyperbolic", "--grid", "eta=600,750,2", "--grid", "a=1,1e308,2"]
+        first = None
+        for eta in (600.0, 750.0):
+            for a in (1.0, 1e308):
+                try:
+                    logdet_hyperbolic_cone(ConeGeometry(a, eta))
+                except ValueError as exc:
+                    first = first or exc
+        rc, out, err = run(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err == f"error: {first}\n" and "750" not in err
 
     def test_grid_errors(self, capsys):
         bad = [

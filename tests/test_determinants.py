@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedet.determinants as determinants
+import conedet.special_functions as SF
 from conedet.determinants import (
     ConeGeometry,
     CurvedDiskGeometry,
@@ -394,6 +395,11 @@ class TestRescaleLogdet:
         with pytest.raises(ValueError):
             rescale_logdet(math.inf, 0.5, 2.0)
 
+    def test_overflow_names_every_parameter(self):
+        for logdet, zeta0 in ((1e308, -1e308), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match=r"^logdet, zeta0 and C put"):
+                rescale_logdet(logdet, zeta0, 1e300)
+
 
 class TestAnnulusRatio:
     def test_a1_reduction(self):
@@ -453,6 +459,16 @@ class TestVerifyIdentities:
         for bad in (0.0, -1e-8, math.nan, math.inf):
             with pytest.raises(ValueError):
                 verify_identities(tol=bad)
+
+    def test_one_barnes_quadrature_per_distinct_angle(self, count_evals):
+        # 14 distinct angles: 1/w for w = 1..12, then 2 and 5; barnes-bridge
+        # reuses the orbifold-equality values, and a warm call runs none
+        calls = count_evals(SF)
+        determinants._barnes_a11.cache_clear()
+        verify_identities()
+        assert len(calls) == 14
+        verify_identities()
+        assert len(calls) == 14
 
     def test_mutation_is_detected(self, monkeypatch):
         # a perturbed constant must break at least one identity

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,27 @@ class TestAnnulusOracle:
         for a, K in ((1e-3, 10.0), (0.01, 1e300), (0.5, 1e300), (10.0, 1.0 + 1e-15)):
             with pytest.raises(ValueError, match=r"^a and K must put the inner radius"):
                 pa_annulus_numeric(a, K)
+
+    def test_integrand_is_dpsi_squared_times_r(self, monkeypatch):
+        # the integrand skips the checks of ConformalFactor.dpsi but keeps
+        # its arithmetic, bit for bit; d * d, since pow(d, 2) from the C
+        # library can differ from it in the last bit
+        seen = []
+
+        def capture(f, points, abs_tol, max_subdivisions):
+            seen.append((f, points[0]))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(PA, "adaptive_quadrature", capture)
+        rng = random.Random(7)
+        for a, K in ((0.5, 2.0), (1.0, 5.0), (2.0, 10.0), (0.05, 1.5), (7.0, 1e6), (0.3, 1e4)):
+            seen.clear()
+            pa_annulus_numeric(a, K)
+            ((f, rho),) = seen
+            cf = ConformalFactor(a, K)
+            for r in [rho, 1.0, *(rng.uniform(rho, 1.0) for _ in range(300))]:
+                d = cf.dpsi(r)
+                assert f(r) == d * d * r, (a, K, r)
 
     def test_respects_quad_config(self):
         got = pa_annulus_numeric(1.0, 2.0, QuadratureConfig(abs_tol=1e-9))

@@ -36,9 +36,21 @@ VALIDATION_CONTRACT = [
     (digamma, (1.0,), "x", 0, (0.0,)),
     (im_log_gamma, (1.0, 1.0), "p", 0, (0.0,)),
     (im_log_gamma, (1.0, 1.0), "q", 1, ()),
-    (hurwitz_zeta, (2.0, 1.0), "s", 0, (1.0, math.nextafter(-5.0, -6.0), -10.5, -41.0, -60.0, -400.0)),
+    (
+        hurwitz_zeta,
+        (2.0, 1.0),
+        "s",
+        0,
+        (1.0, math.nextafter(-5.0, -6.0), -10.5, -41.0, -60.0, -400.0, math.nextafter(400.0, 401.0), 1e5, 1e12),
+    ),
     (hurwitz_zeta, (2.0, 1.0), "x", 1, (0.0,)),
-    (hurwitz_zeta_sderiv, (2.0, 1.0), "s", 0, (1.0, math.nextafter(-5.0, -6.0), -8.0, -12.0, -400.0)),
+    (
+        hurwitz_zeta_sderiv,
+        (2.0, 1.0),
+        "s",
+        0,
+        (1.0, math.nextafter(-5.0, -6.0), -8.0, -12.0, -400.0, math.nextafter(400.0, 401.0), 1e5, 1e12),
+    ),
     (hurwitz_zeta_sderiv, (2.0, 1.0), "x", 1, (0.0,)),
     *((BarnesArgs, (1.0, 1.0, 1.0), name, i, (_BELOW_TINY,)) for i, name in enumerate("abx")),
     (barnes_zeta_prime0_orbifold, (2,), "w", 0, (0, 201, 2.0)),
@@ -246,6 +258,32 @@ class TestHurwitzZeta:
                 dwant = float(mpmath.zeta(s, x, 1))
                 assert abs(hurwitz_zeta(s, x) - want) <= 2.5e-10 * (1.0 + abs(want)), (s, x)
                 assert abs(hurwitz_zeta_sderiv(s, x) - dwant) <= 2.5e-10 * (1.0 + abs(dwant)), (s, x)
+
+    def test_accuracy_up_to_highest_accepted_s(self):
+        # the accepted range ends at s = 400, where the head sum has 408
+        # terms; wherever the result fits a double it holds 1e-14 relative
+        # to 1 + |result|, and beyond that the call names s and x
+        mpmath.mp.dps = 30
+        beyond = 1.01 * mpmath.mpf(2) ** 1024
+        for s in (5.5, 20.0, 99.5, 250.0, 400.0):
+            for x in (1e-3, 0.0133, 0.316, 0.75, 1.78, 10.0, 316.0):
+                for f, want in ((hurwitz_zeta, mpmath.zeta(s, x)), (hurwitz_zeta_sderiv, mpmath.zeta(s, x, 1))):
+                    if abs(want) > beyond:
+                        with pytest.raises(ValueError, match=r"^s and x put"):
+                            f(s, x)
+                    elif abs(want) < 1e300:
+                        got = f(s, x)
+                        assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), (f.__name__, s, x)
+
+    def test_overflow_names_s_and_x(self):
+        for f, s, x in (
+            (hurwitz_zeta, 2.0, 1e-300),
+            (hurwitz_zeta, -5.0, 1e300),
+            (hurwitz_zeta_sderiv, -4.5, 1e300),
+            (hurwitz_zeta_sderiv, 400.0, 0.1),
+        ):
+            with pytest.raises(ValueError, match=r"^s and x put .* got s = .*, x = "):
+                f(s, x)
 
     def test_pole_and_domain(self):
         with pytest.raises(ValueError):
