@@ -77,8 +77,8 @@ def _negated(res: EvalResult, tag: str) -> EvalResult:
     return EvalResult(-res.value, res.abs_err, tag)
 
 
-def _closed(value: float, tag: str) -> EvalResult:
-    return _fsum_result((value,), tag)
+def _closed(value: float, tag: str, params: dict) -> EvalResult:
+    return _fsum_result((value,), tag, **params)
 
 
 _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
@@ -101,10 +101,10 @@ _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
             zeta_prime0_unit_disk_cone(CurvedDiskGeometry(p["a"], p["K"])), "disk-cone-logdet"
         ),
     ),
-    "flatdisk": (("r",), lambda p: _closed(logdet_flat_disk(p["r"]), "flat-disk-logdet")),
+    "flatdisk": (("r",), lambda p: _closed(logdet_flat_disk(p["r"]), "flat-disk-logdet", p)),
     "poincarecap": (
         ("eta",),
-        lambda p: _closed(logdet_poincare_cap(p["eta"]), "poincare-cap-logdet"),
+        lambda p: _closed(logdet_poincare_cap(p["eta"]), "poincare-cap-logdet", p),
     ),
 }
 

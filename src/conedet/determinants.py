@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quadrature import QuadratureConfig
 from .special_functions import (
     _ETA_MAX,
     _TINY,
@@ -36,7 +35,6 @@ from .special_functions import (
     _checked_w,
     _fsum_result,
     _orbifold_gamma_sum,
-    _quad_or_default,
     _real,
     barnes_zeta_prime0,
     barnes_zeta_prime0_orbifold,
@@ -126,8 +124,8 @@ def _inv_sech_sq_half(eta: float) -> float:
 
 
 @lru_cache(maxsize=512)
-def _barnes_a11(a: float, quad: QuadratureConfig) -> EvalResult:
-    return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0), quad)
+def _barnes_a11(a: float) -> EvalResult:
+    return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
 
 
 def curvature_from_radius(eta: float) -> float:
@@ -138,13 +136,13 @@ def curvature_from_radius(eta: float) -> float:
     return -(t * t)
 
 
-def logdet_hyperbolic_cone(g: ConeGeometry, quad: QuadratureConfig | None = None) -> EvalResult:
+def logdet_hyperbolic_cone(g: ConeGeometry) -> EvalResult:
     """-zeta'(0) of the Dirichlet Laplacian on the curvature -1 cone of
     angle 2*pi*a and radius eta."""
     if not isinstance(g, ConeGeometry):
         raise ValueError("g must be a ConeGeometry")
     a, eta = g.a, g.eta
-    bz = _barnes_a11(a, _quad_or_default(quad))
+    bz = _barnes_a11(a)
     inv_a = 1.0 / a
     terms = (
         -(a + inv_a) / 6.0 * _log_tanh_half(eta),
@@ -153,7 +151,7 @@ def logdet_hyperbolic_cone(g: ConeGeometry, quad: QuadratureConfig | None = None
         -(a + 3.0 + inv_a) / 6.0 * math.log(a),
         -0.5 * LOG_2PI,
     )
-    return _fsum_result(terms, "hyperbolic-cone", 2.0 * bz.abs_err)
+    return _fsum_result(terms, "hyperbolic-cone", 2.0 * bz.abs_err, a=a, eta=eta)
 
 
 def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
@@ -170,7 +168,7 @@ def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
         -0.5 * ww * LOG_2PI,
         (ww + 3.0 + 2.0 / ww) / 6.0 * math.log(ww),
     )
-    return _fsum_result(terms, "orbifold-cone")
+    return _fsum_result(terms, "orbifold-cone", w=w, eta=eta)
 
 
 def small_eta_asymptotics(w: int, eta: float) -> float:
@@ -217,12 +215,12 @@ def fp_asymptotics_reference(w: int, eta: float) -> float:
     )
 
 
-def zeta_prime0_spindle(a: float, K: float, quad: QuadratureConfig | None = None) -> EvalResult:
+def zeta_prime0_spindle(a: float, K: float) -> EvalResult:
     """zeta'(0) of the modified (zero mode removed) Laplacian on the
     curvature K > 0 spindle with two angle 2*pi*a points."""
     a = _real("a", a, _TINY)
     K = _real("K", K, _TINY)
-    bz = _barnes_a11(a, _quad_or_default(quad))
+    bz = _barnes_a11(a)
     inv_a = 1.0 / a
     terms = (
         4.0 * bz.value,
@@ -230,7 +228,7 @@ def zeta_prime0_spindle(a: float, K: float, quad: QuadratureConfig | None = None
         (a + inv_a) / 3.0 * (math.log(a) - 0.5 * math.log(K)),
         math.log(K),
     )
-    return _fsum_result(terms, "spindle-zeta-prime0", 4.0 * bz.abs_err)
+    return _fsum_result(terms, "spindle-zeta-prime0", 4.0 * bz.abs_err, a=a, K=K)
 
 
 def zeta0_spindle(a: float) -> float:
@@ -239,12 +237,12 @@ def zeta0_spindle(a: float) -> float:
     return (a + 1.0 / a) / 6.0 - 1.0
 
 
-def zeta_prime0_spherical_cone(a: float, K: float, quad: QuadratureConfig | None = None) -> EvalResult:
+def zeta_prime0_spherical_cone(a: float, K: float) -> EvalResult:
     """zeta'(0) of the Dirichlet Laplacian on the curvature K > 0 cone of
     angle 2*pi*a cut at the equator of the K-sphere."""
     a = _real("a", a, _TINY)
     K = _real("K", K, _TINY)
-    bz = _barnes_a11(a, _quad_or_default(quad))
+    bz = _barnes_a11(a)
     inv_a = 1.0 / a
     terms = (
         2.0 * bz.value,
@@ -253,16 +251,16 @@ def zeta_prime0_spherical_cone(a: float, K: float, quad: QuadratureConfig | None
         -(a + inv_a) / 12.0 * math.log(K),
         0.5 * LOG_2PI,
     )
-    return _fsum_result(terms, "spherical-cone-zeta-prime0", 2.0 * bz.abs_err)
+    return _fsum_result(terms, "spherical-cone-zeta-prime0", 2.0 * bz.abs_err, a=a, K=K)
 
 
-def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry, quad: QuadratureConfig | None = None) -> EvalResult:
+def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry) -> EvalResult:
     """zeta'(0) of the Dirichlet Laplacian on the unit disk carrying the
     angle 2*pi*a cone metric of curvature K > -1; analytic in K."""
     if not isinstance(g, CurvedDiskGeometry):
         raise ValueError("g must be a CurvedDiskGeometry")
     a, K = g.a, g.K
-    bz = _barnes_a11(a, _quad_or_default(quad))
+    bz = _barnes_a11(a)
     inv_a = 1.0 / a
     terms = (
         2.0 * bz.value,
@@ -271,7 +269,7 @@ def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry, quad: QuadratureConfig | N
         4.0 / 3.0 * a / (K + 1.0),
         0.5 * LOG_2PI,
     )
-    return _fsum_result(terms, "disk-cone-zeta-prime0", 2.0 * bz.abs_err)
+    return _fsum_result(terms, "disk-cone-zeta-prime0", 2.0 * bz.abs_err, a=a, K=K)
 
 
 def zeta0_unit_disk_cone(a: float) -> float:
@@ -343,12 +341,11 @@ _IDENTITY_OVERRIDES = {
 }
 
 
-def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -> list[IdentityReport]:
+def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
     """Evaluate every cross-formula identity and return one report per
     identity, sorted by name.  Grid-based identities report their worst
     point.  Failures are reported, never raised."""
     tol = _real("tol", tol, 0.0, open_lo=True)
-    quad = _quad_or_default(quad)
 
     from . import pa_oracle
 
@@ -363,23 +360,23 @@ def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -
 
     for a in a_grid:
         for eta in eta_grid:
-            lhs = logdet_hyperbolic_cone(ConeGeometry(a, eta), quad).value
+            lhs = logdet_hyperbolic_cone(ConeGeometry(a, eta)).value
             K = curvature_from_radius(eta)
             rhs = (
-                -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K), quad).value
+                -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K)).value
                 - zeta0_unit_disk_cone(a) * (2.0 * _log_tanh_half(eta))
             )
             record("disk-cone-reconstruction", lhs, rhs)
 
     for w in range(1, 13):
         for eta in (0.1, 1.0, 3.0):
-            lhs = logdet_hyperbolic_cone(ConeGeometry(1.0 / w, eta), quad).value
+            lhs = logdet_hyperbolic_cone(ConeGeometry(1.0 / w, eta)).value
             record("orbifold-equality", lhs, logdet_orbifold_cone(w, eta).value)
         # the quadrature route, already cached by the loop above
-        record("barnes-bridge", _barnes_a11(1.0 / w, quad).value, barnes_zeta_prime0_orbifold(w))
+        record("barnes-bridge", _barnes_a11(1.0 / w).value, barnes_zeta_prime0_orbifold(w))
 
     for eta in (0.2, 0.5, 1.0, 2.0, 4.0):
-        lhs = logdet_hyperbolic_cone(ConeGeometry(1.0, eta), quad).value
+        lhs = logdet_hyperbolic_cone(ConeGeometry(1.0, eta)).value
         record("a1-poincare-cap", lhs, logdet_poincare_cap(eta))
         ch = math.cosh(eta)
         record(
@@ -390,17 +387,17 @@ def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -
 
     for a in (0.5, 1.0, 2.0):
         for K in (0.5, 1.0, 2.0):
-            lhs = -zeta_prime0_spindle(a, K, quad).value
+            lhs = -zeta_prime0_spindle(a, K).value
             rhs = (
                 math.log(4.0 * math.pi * a / K)
-                - 2.0 * zeta_prime0_spherical_cone(a, K, quad).value
+                - 2.0 * zeta_prime0_spherical_cone(a, K).value
                 - math.log(2.0)
             )
             record("bfk-gluing", lhs, rhs)
 
     record(
         "flat-limit",
-        zeta_prime0_unit_disk_cone(CurvedDiskGeometry(1.0, 0.0), quad).value,
+        zeta_prime0_unit_disk_cone(CurvedDiskGeometry(1.0, 0.0)).value,
         -logdet_flat_disk(2.0),
     )
 
@@ -410,28 +407,28 @@ def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -
             glued = (
                 logdet_flat_disk(1.0)
                 - logdet_flat_disk(rho)
-                - zeta_prime0_spherical_cone(a, K, quad).value
+                - zeta_prime0_spherical_cone(a, K).value
                 + annulus_ratio_closed_form(a, K)
             )
             record(
                 "annulus-composition",
-                -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K), quad).value,
+                -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K)).value,
                 glued,
             )
 
     for a in (0.5, 1.0, 2.0):
         record(
             "curvature-continuity",
-            zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, 1e-8), quad).value,
-            zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, -1e-8), quad).value,
+            zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, 1e-8)).value,
+            zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, -1e-8)).value,
         )
 
     for a in (0.5, 1.0, 2.0, 5.0):
         for K in (0.5, 2.0):
             record(
                 "spindle-rescale",
-                zeta_prime0_spindle(a, K, quad).value,
-                rescale_logdet(zeta_prime0_spindle(a, 1.0, quad).value, zeta0_spindle(a), K),
+                zeta_prime0_spindle(a, K).value,
+                rescale_logdet(zeta_prime0_spindle(a, 1.0).value, zeta0_spindle(a), K),
             )
 
     for a in (0.5, 0.25, 0.125):
@@ -452,7 +449,7 @@ def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -
 
     for a in (0.5, 1.0, 2.0):
         for K in (2.0, 5.0, 10.0):
-            breakdown = pa_oracle.pa_annulus_numeric(a, K, quad)
+            breakdown = pa_oracle.pa_annulus_numeric(a, K)
             record("pa-annulus-dual-oracle", breakdown.total, annulus_ratio_closed_form(a, K))
             record(
                 "grad-quadrature-agreement",
@@ -461,7 +458,7 @@ def verify_identities(tol: float = 1e-8, quad: QuadratureConfig | None = None) -
             )
 
     for eta in (0.5, 1.0, 3.0):
-        breakdown = pa_oracle.pa_disk_numeric(eta, quad)
+        breakdown = pa_oracle.pa_disk_numeric(eta)
         record(
             "pa-disk-consistency",
             breakdown.total,

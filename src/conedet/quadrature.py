@@ -3,44 +3,21 @@
 A 12-point Gauss rule embedded in a 25-point Kronrod rule gives a value
 and a per-interval error estimate; the interval with the worst estimate
 is bisected until the summed estimate drops below the requested absolute
-tolerance.  Everything is plain float arithmetic, so a given integrand
-and configuration always produce bitwise identical results.
+tolerance.  Everything is plain float arithmetic, so a given integrand,
+breakpoints and budget always produce bitwise identical results.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["QuadratureConfig", "QuadratureError", "adaptive_quadrature"]
+__all__ = ["QuadratureError", "adaptive_quadrature"]
 
 
 class QuadratureError(RuntimeError):
     """Raised when the subdivision limit is hit before the tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the adaptive integrator.
-
-    abs_tol          target absolute error of the integral
-    y_max_cap        hard truncation of a semi-infinite integration variable
-    max_subdivisions bisection budget before giving up
-    """
-
-    abs_tol: float = 1e-12
-    y_max_cap: float = 60.0
-    max_subdivisions: int = 400
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.abs_tol, float) and self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be a positive finite float, got {self.abs_tol!r}")
-        if not (isinstance(self.y_max_cap, float) and self.y_max_cap > 0.0 and math.isfinite(self.y_max_cap)):
-            raise ValueError(f"y_max_cap must be a positive finite float, got {self.y_max_cap!r}")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
 
 # Kronrod-25 abscissae on [-1, 1] (positive half, center last) and weights;

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .quadrature import QuadratureConfig, adaptive_quadrature
+from .quadrature import adaptive_quadrature
 
 __all__ = [
     "EULER_GAMMA",
@@ -44,13 +44,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # zeta_R'(-1) = 1/12 - log(Glaisher constant)
 _ZETA_PRIME_MINUS_ONE = -0.1654211437004509292139197
-
-_DEFAULT_QUAD = QuadratureConfig()
-
-
-def _quad_or_default(quad: QuadratureConfig | None) -> QuadratureConfig:
-    return _DEFAULT_QUAD if quad is None else quad
-
 
 # Stirling series coefficients B_{2j} / (2j (2j-1)) for log Gamma.
 _STIRLING = (
@@ -174,6 +167,13 @@ _TINY = 1e-300
 # cosh overflows just above 710; keep radii where every formula stays finite
 _ETA_MAX = 700.0
 
+# The one budget of every quadrature: absolute tolerance and bisections.
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 400
+
+# Upper end of the Barnes integration range; keeps expm1(2 pi y) finite.
+_Y_MAX = 60.0
+
 
 def _real(
     name: str, value: float, lo: float = -math.inf, hi: float = math.inf, open_lo: bool = False
@@ -232,10 +232,21 @@ class EvalResult:
             raise ValueError("formula_tag must be a nonempty string")
 
 
-def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0) -> EvalResult:
+def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params: float) -> EvalResult:
     """The exactly rounded sum of terms, its error bar being err plus the
-    rounding floor 2e-14 * (1 + sum of |term|)."""
-    return EvalResult(math.fsum(terms), err + 2e-14 * (1.0 + math.fsum(abs(t) for t in terms)), tag)
+    rounding floor 2e-14 * (1 + sum of |term|).  Raises a ValueError that
+    names params, the inputs the terms came from, when either is not finite."""
+    try:
+        value = math.fsum(terms)
+        abs_err = err + 2e-14 * (1.0 + math.fsum(abs(t) for t in terms))
+    except (OverflowError, ValueError):  # fsum overflowed or met inf - inf
+        value = abs_err = math.nan
+    if math.isfinite(value) and math.isfinite(abs_err):
+        return EvalResult(value, abs_err, tag)
+    *init, last = params
+    names = f"{', '.join(init)} and {last}" if init else last
+    got = ", ".join(f"{k} = {v!r}" for k, v in params.items())
+    raise ValueError(f"{names} put the {tag} result beyond the float range, got {got}")
 
 
 def _stirling_real(x: float) -> float:
@@ -489,24 +500,24 @@ def _truncation_point(a: float, b: float, x: float, abs_tol: float) -> float:
     return 1.05 * y + 0.5
 
 
-def barnes_zeta_prime0(args: BarnesArgs, quad: QuadratureConfig | None = None) -> EvalResult:
+def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     """d/ds at s=0 of the double zeta sum_{m,n>=0} (a m + b n + x)^(-s).
 
     Closed Hurwitz/log-gamma terms plus one exponentially damped integral
-    over [0, y_max]; y_max is the decay-bound estimate truncated at the
-    configured cap.
+    over [0, y_max]; y_max is the decay-bound estimate, capped at 60, a cap
+    that binds only where the quadrature fails anyway (a below about 1e-137
+    at b = x = 1).
     """
     if not isinstance(args, BarnesArgs):
         args = BarnesArgs(*args)
-    quad = _quad_or_default(quad)
     a, b, x = args.a, args.b, args.x
     p = x / a
 
-    y_end = min(quad.y_max_cap, _truncation_point(a, b, x, quad.abs_tol))
+    y_end = min(_Y_MAX, _truncation_point(a, b, x, _ABS_TOL))
     seeds = [t for t in (0.0, 1.0, 3.0, 8.0, 16.0, 32.0) if t < y_end]
     seeds.append(y_end)
     integral, quad_err = adaptive_quadrature(
-        _barnes_integrand(a, b, x), seeds, quad.abs_tol, quad.max_subdivisions
+        _barnes_integrand(a, b, x), seeds, _ABS_TOL, _MAX_SUBDIVISIONS
     )
 
     r = a / b
@@ -519,7 +530,7 @@ def barnes_zeta_prime0(args: BarnesArgs, quad: QuadratureConfig | None = None) -
         -r * hurwitz_zeta_sderiv(-1.0, p),
         integral,
     )
-    return _fsum_result(terms, "barnes-integral", quad_err + quad.abs_tol / 10.0)
+    return _fsum_result(terms, "barnes-integral", quad_err + _ABS_TOL / 10.0, a=a, b=b, x=x)
 
 
 def _orbifold_gamma_sum(w: int) -> float:

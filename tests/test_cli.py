@@ -269,6 +269,20 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("numerical failure: ")
 
+    def test_float_range_overflow_names_a(self, capsys):
+        # each printed "-inf + inf in fsum" or died with an OverflowError
+        for argv in (
+            ["det", "hyperbolic", "--a", "1e308", "--eta", "1"],
+            ["det", "hyperbolic", "--a", "1e306", "--eta", "600"],
+            ["det", "spindle", "--a", "1e308", "--K", "1"],
+            ["det", "diskcone", "--a", "1e307", "--K", "1"],
+        ):
+            rc, out, err = run(capsys, argv)
+            assert rc == 1 and out == "", argv
+            assert err.startswith(("error: a and ", "error: a, b and x ")), argv
+            assert "beyond the float range" in err, argv
+            assert f"a = {float(argv[3])!r}" in err, argv
+
     def test_usage_error_is_1_not_argparse_2(self, capsys):
         rc, _, _ = run(capsys, ["det"])
         assert rc == 1

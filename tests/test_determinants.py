@@ -120,6 +120,11 @@ class TestHyperbolicCone:
         res = logdet_hyperbolic_cone(ConeGeometry(2.0, 1.0))
         assert res.abs_err < 1e-10
 
+    def test_overflow_names_a_and_eta(self):
+        # the error-bar sum raised a bare OverflowError from fsum
+        with pytest.raises(ValueError, match=r"^a and eta put .* got a = 1e\+306, eta = 600.0$"):
+            logdet_hyperbolic_cone(ConeGeometry(1e306, 600.0))
+
 
 class TestOrbifoldCone:
     def test_frozen_values(self):

@@ -14,7 +14,6 @@ from conedet.pa_oracle import (
     pa_annulus_numeric,
     pa_disk_numeric,
 )
-from conedet.quadrature import QuadratureConfig
 
 
 class TestConformalFactor:
@@ -147,10 +146,6 @@ class TestAnnulusOracle:
                 d = cf.dpsi(r)
                 assert f(r) == d * d * r, (a, K, r)
 
-    def test_respects_quad_config(self):
-        got = pa_annulus_numeric(1.0, 2.0, QuadratureConfig(abs_tol=1e-9))
-        assert abs(got.total - annulus_ratio_closed_form(1.0, 2.0)) <= 1e-8
-
 
 class TestDiskOracle:
     def test_total_matches_cap_minus_flat(self):
@@ -189,7 +184,7 @@ class TestDiskOracle:
 
     def test_edge_rounding_to_one_names_eta(self):
         for eta in (40.0, 700.0):
-            with pytest.raises(ValueError, match=r"^eta must keep tanh\(eta/2\) below 1.0"):
+            with pytest.raises(ValueError, match=r"^eta must be finite and in \[1e-300, 7.5\]"):
                 pa_disk_numeric(eta)
 
 

@@ -8,7 +8,6 @@ from conedet.quadrature import (
     _WG,
     _WGK,
     _XGK,
-    QuadratureConfig,
     QuadratureError,
     _gk25,
     adaptive_quadrature,
@@ -149,24 +148,6 @@ def test_budget_exhaustion_raises():
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError):
         adaptive_quadrature(lambda x: math.nan, (0.0, 1.0), 1e-10, 10)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=-1e-9)
-    with pytest.raises(ValueError):
-        QuadratureConfig(y_max_cap=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
-
-
-def test_config_hashable_and_frozen():
-    cfg = QuadratureConfig()
-    assert hash(cfg) == hash(QuadratureConfig())
-    with pytest.raises(Exception):
-        cfg.abs_tol = 1e-6
 
 
 @given(

@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 import conedet.determinants as D
 import conedet.pa_oracle as PA
 import conedet.special_functions as SF
-from conedet.quadrature import QuadratureConfig, QuadratureError
+from conedet.quadrature import QuadratureError
 from conedet.special_functions import (
     BarnesArgs,
     EvalResult,
@@ -88,7 +88,7 @@ VALIDATION_CONTRACT = [
     (PA.grad_psi_sq, (1.0, 0.5, 0.5), "r", 2, (_BELOW_TINY, 1.5)),
     (PA.pa_annulus_numeric, (1.0, 2.0), "a", 0, (_BELOW_TINY,)),
     (PA.pa_annulus_numeric, (1.0, 2.0), "K", 1, (1.0,)),
-    (PA.pa_disk_numeric, (1.0,), "eta", 0, (_BELOW_TINY, 700.5)),
+    (PA.pa_disk_numeric, (1.0,), "eta", 0, (_BELOW_TINY, 700.5, 8.0, 10.0, 20.0, 30.0, 36.0)),
 ]
 
 # reference values frozen from mpmath at 40 significant digits
@@ -461,13 +461,32 @@ class TestBarnes:
         with pytest.raises(QuadratureError):
             barnes_zeta_prime0(BarnesArgs(1e-250, 1.0, 1.0))
 
-    def test_custom_quad_config(self):
-        loose = QuadratureConfig(abs_tol=1e-8)
-        tight = QuadratureConfig(abs_tol=1e-13)
-        vl = barnes_zeta_prime0(BarnesArgs(0.5, 1.0, 1.0), loose)
-        vt = barnes_zeta_prime0(BarnesArgs(0.5, 1.0, 1.0), tight)
-        assert abs(vl.value - vt.value) <= 1e-8
-        assert vt.abs_err <= vl.abs_err + 1e-13
+    def test_cap_never_truncates_a_returned_value(self):
+        # the decay bound reaches the cap _Y_MAX only below about
+        # a = 8.5e-138, far below where the quadrature starts to fail (most
+        # angles under 1e-10).  A failing call costs about 0.07 s, so the
+        # grid takes every quarter decade from 1e-12 up and around that
+        # edge, and every 25 decades elsewhere below 1e-12
+        exponents = [
+            *range(-300, -12, 25),
+            *(k / 4.0 for k in range(-552, -536)),
+            *(k / 4.0 for k in range(-48, 1233)),
+        ]
+        binding = 0
+        for e in exponents:
+            a = 10.0**e
+            if SF._truncation_point(a, 1.0, 1.0, SF._ABS_TOL) < SF._Y_MAX:
+                continue
+            binding += 1
+            with pytest.raises(QuadratureError):
+                barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+        assert binding >= 8
+
+    def test_overflow_names_every_parameter(self):
+        # a = 1e308 summed to -inf with abs_err inf
+        for a in (1e307, 1e308, 1.7e308):
+            with pytest.raises(ValueError, match=r"^a, b and x put the barnes-integral result beyond"):
+                barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
 
 
 class TestValidation:
