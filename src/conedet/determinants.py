@@ -125,7 +125,13 @@ def _inv_sech_sq_half(eta: float) -> float:
 
 @lru_cache(maxsize=512)
 def _barnes_a11(a: float) -> EvalResult:
-    return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+    try:
+        return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+    except ValueError:
+        # the sum left the float range; its error names b = x = 1, which no
+        # caller takes, so hand back an infinite error bar instead and let
+        # the caller's _fsum_result name the caller's own parameters
+        return EvalResult(math.nan, math.inf, "barnes-integral")
 
 
 def curvature_from_radius(eta: float) -> float:

@@ -5,10 +5,10 @@ Everything here is self-contained double-precision scalar code:
 * log-gamma (real, and the imaginary part along vertical lines) from the
   Stirling series after shifting the argument to Re z >= 10,
 * digamma the same way,
-* Hurwitz zeta and its s-derivative from Euler-Maclaurin summation with
-  analytically differentiated terms, for -5 <= s <= 400; the value at an
-  integer s <= 0 is the terminating Bernoulli polynomial, and the
-  derivative at s = -1, x <= 3 a Taylor series in x,
+* Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
+  Barnes term needs: the values are Bernoulli polynomials, the derivative
+  at 0 is Lerch's log-gamma formula, and the derivative at -1 a Taylor
+  series in x after unit shifts in x, or an asymptotic series for large x,
 * the derivative at 0 of the two-variable Barnes zeta
   sum_{m,n>=0} (a m + b n + x)^(-s), evaluated through an integral
   representation whose integrand decays like exp(-2 pi y).
@@ -71,30 +71,6 @@ _DIGAMMA = (
     -3617.0 / 8160.0,
 )
 
-# B_{2j} / (2j)! for Euler-Maclaurin correction terms.
-_EM_COEFF = (
-    0.08333333333333333,
-    -0.001388888888888889,
-    3.306878306878307e-05,
-    -8.267195767195768e-07,
-    2.08767569878681e-08,
-    -5.284190138687493e-10,
-    1.3382536530684679e-11,
-    -3.3896802963225827e-13,
-    8.586062056277845e-15,
-    -2.174868698558062e-16,
-    5.5090028283602295e-18,
-    -1.3954464685812522e-19,
-    3.534707039629467e-21,
-    -8.953517427037546e-23,
-    2.267952452337683e-24,
-    -5.744790668872202e-26,
-    1.455172475614865e-27,
-    -3.6859949406653103e-29,
-    9.336734257095045e-31,
-    -2.36502241570063e-32,
-)
-
 # zeta(k) - 1 for k = 2, 3, ..., 45, the coefficients of the Taylor series
 # of zeta'(-1, x) about x = 2; the first omitted term is below 2e-17 for
 # |x - 2| <= 1.
@@ -145,18 +121,15 @@ _ZETA_MINUS_ONE = (
     2.842170976889302e-14,
 )
 
-# Lowest s the Hurwitz pair accepts.  At s < 0 the Euler-Maclaurin head
-# sum cancels against the tail: against mpmath over x in [1e-3, 1e3], value
-# and s-derivative are good to 2e-10 (1 + |result|) at s = -5, and each unit
-# of s lower costs about a factor 10 (1e-6 at s = -8, no digits at s = -12).
-_S_MIN = -5.0
-
-# Highest s the Hurwitz pair accepts.  The Euler-Maclaurin head sums about
-# s + 8 terms, so the cost grows linearly in s: over x in [1e-3, 1e3] a call
-# at s = 400 took at most 0.17 ms, and one at s = 1e5 took 47 ms (Python
-# 3.11 on one core of a Xeon server).  Against mpmath, value and derivative
-# hold 8e-16 (1 + |result|) up to s = 1000 wherever they fit a double.
-_S_MAX = 400.0
+# B_{2k+2} / ((2k+2)(2k+1) 2k) for k = 1, ..., 5, the coefficients of the
+# asymptotic series of zeta'(-1, x) in x^(-2k).
+_ZETA_SDERIV_TAIL = (
+    -1.0 / 720.0,
+    1.0 / 5040.0,
+    -1.0 / 10080.0,
+    1.0 / 9504.0,
+    -691.0 / 3603600.0,
+)
 
 # The Stirling tail reaches double precision once Re z is past this line.
 _STIRLING_EDGE = 10.0
@@ -320,89 +293,36 @@ def digamma(x: float) -> float:
     return math.log(x) - 0.5 * inv - series - acc
 
 
-def _euler_maclaurin(s: float, x: float, edge: float) -> tuple[float, float, bool]:
-    """Hurwitz zeta(s, x) and its s-derivative by Euler-Maclaurin with the
-    expansion point pushed to x + N >= edge.  Returns (value, derivative,
-    converged)."""
-    n_terms = int(max(0.0, math.ceil(edge - x)))
-    ssum = 0.0
-    dsum = 0.0
-    for k in range(n_terms):
-        base = x + k
-        t = base ** (-s)
-        ssum += t
-        dsum -= math.log(base) * t
+def _zeta_sderiv_minus1(x: float) -> float:
+    """zeta'(-1, x) for x > 0, by one of three routes, none of which cancels.
 
-    q = x + n_terms
-    lq = math.log(q)
-    qs = q ** (-s)
-    tail = qs * q / (s - 1.0)
-    value = ssum + tail + 0.5 * qs
-    deriv = dsum + tail * (-lq - 1.0 / (s - 1.0)) - 0.5 * lq * qs
-
-    # Correction terms C_j * P_j(s) * q^{-s-2j+1} with the rising factorial
-    # P_j(s) = s (s+1) ... (s+2j-2) and its derivative carried together.
-    poch = s
-    dpoch = 1.0
-    qpow = qs / q
-    inv_q2 = 1.0 / (q * q)
-    prev = math.inf
-    converged = False
-    for j, c in enumerate(_EM_COEFF, start=1):
-        if j > 1:
-            f1 = s + (2 * j - 3)
-            f2 = s + (2 * j - 2)
-            dpoch = dpoch * f1 * f2 + poch * (f1 + f2)
-            poch = poch * f1 * f2
-            qpow *= inv_q2
-        term = c * poch * qpow
-        dterm = c * qpow * (dpoch - poch * lq)
-        size = max(abs(term), abs(dterm))
-        if j > 2 and size >= prev:
-            break
-        value += term
-        deriv += dterm
-        if size <= 1e-17 * (1.0 + abs(value) + abs(deriv)):
-            converged = True
-            break
-        prev = size
-    return value, deriv, converged
-
-
-def _negative_integer_value(s: float, x: float) -> float:
-    """Hurwitz zeta at an integer s <= 0, -B_{1-s}(x)/(1-s).  The Bernoulli
-    correction series terminates and the remainder vanishes identically,
-    so the expansion point can stay at x itself and no cancellation builds
-    up; at s = 0 it is 1/2 - x.  Only nonnegative powers of x appear, so a
-    tiny x cannot divide by zero."""
-    n = -s
-    value = x ** (n + 1.0) / (s - 1.0) + 0.5 * x**n
-    poch = s
-    for j, c in enumerate(_EM_COEFF, start=1):
-        if j > 1:
-            poch *= (s + (2 * j - 3)) * (s + (2 * j - 2))
-        if poch == 0.0:
-            break
-        value += c * poch * x ** (n + 1.0 - 2 * j)
-    return value
-
-
-def _zeta_sderiv_minus1_small(x: float) -> float:
-    """zeta'(-1, x) for 0 < x <= 3 from its Taylor series about x = 2.
-
-    d/dx zeta'(-1, x) = x - 1/2 + log Gamma(x) - log(2 pi)/2, and
+    For x <= 3, the Taylor series about x = 2: d/dx zeta'(-1, x) =
+    x - 1/2 + log Gamma(x) - log(2 pi)/2, and
     log Gamma(2 + t) = (1 - gamma) t + sum_{k>=2} (-1)^k (zeta(k) - 1) t^k / k,
     so with zeta'(-1, 2) = zeta_R'(-1)
     zeta'(-1, 2 + t) = zeta_R'(-1) + (3/2 - log(2 pi)/2) t + (2 - gamma) t^2 / 2
                        + sum_{k>=2} (-1)^k (zeta(k) - 1) / (k (k+1)) t^(k+1).
-    For x <= 1 the shift zeta'(-1, x) = zeta'(-1, x + 1) - x log x first
-    brings x into (1, 2], so |t| <= 1 and the series converges like 2^-k.
-    Unlike Euler-Maclaurin at s = -1 it sums no growing terms, so nothing
-    cancels."""
+    The shift zeta'(-1, x) = zeta'(-1, x + 1) - x log x first brings
+    x <= 1 into (1, 2], and zeta'(-1, x) = zeta'(-1, x - 1) + (x - 1) log(x - 1)
+    brings 3 < x < 18 into (2, 3], adding only positive terms; then |t| <= 1
+    and the series converges like 2^-k.  For x >= 18, the asymptotic series
+    (x^2/2 - x/2 + 1/12) log x - x^2/4 + 1/12
+        - sum_{k>=1} B_{2k+2} / ((2k+2)(2k+1) 2k) x^(-2k),
+    whose first omitted term is below 5e-19."""
+    if x >= 18.0:
+        xx = x * x
+        inv2 = 1.0 / xx
+        series = 0.0
+        for c in reversed(_ZETA_SDERIV_TAIL):
+            series = series * inv2 + c
+        return (xx / 2.0 - 0.5 * x + 1.0 / 12.0) * math.log(x) - xx / 4.0 + 1.0 / 12.0 - series * inv2
     shift = 0.0
     if x <= 1.0:
-        shift = x * math.log(x)
+        shift = -x * math.log(x)
         x += 1.0
+    while x > 3.0:
+        x -= 1.0
+        shift += x * math.log(x)
     t = x - 2.0
     u = -t
     series = 0.0
@@ -410,61 +330,38 @@ def _zeta_sderiv_minus1_small(x: float) -> float:
         series = series * u + _ZETA_MINUS_ONE[k - 2] / (k * (k + 1))
     # 3/2 - log(2 pi)/2 and (2 - gamma)/2, each rounded once
     poly = t * (0.5810614667953272 + t * (0.7113921675492336 + t * series))
-    return _ZETA_PRIME_MINUS_ONE + poly - shift
+    return _ZETA_PRIME_MINUS_ONE + poly + shift
 
 
-def _hurwitz_args(s: float, x: float) -> tuple[float, float]:
-    s = _real("s", s, _S_MIN, _S_MAX)
+def _hurwitz(s: float, x: float, sderiv: bool) -> float:
+    s = _real("s", s)
+    if s != 0.0 and s != -1.0:
+        raise ValueError(f"s must be 0 or -1, got {s!r}")
     x = _real("x", x, 0.0, open_lo=True)
-    if s == 1.0:
-        raise ValueError("s = 1 is the pole of the Hurwitz zeta function")
-    return s, x
-
-
-def _beyond_float_range(s: float, x: float) -> ValueError:
-    return ValueError(f"s and x put the Hurwitz zeta beyond the float range, got s = {s!r}, x = {x!r}")
-
-
-def _hurwitz_pair(s: float, x: float) -> tuple[float, float]:
-    edge = max(18.0, abs(s) + 8.0) if s >= -1.5 else max(10.0, abs(s) + 5.0)
-    value = deriv = 0.0
-    for _ in range(4):
-        value, deriv, converged = _euler_maclaurin(s, x, edge)
-        if converged:
-            break
-        edge *= 2.0
-    return value, deriv
+    try:
+        if s == 0.0:
+            value = log_gamma(x) - 0.5 * LOG_2PI if sderiv else 0.5 - x
+        else:
+            value = _zeta_sderiv_minus1(x) if sderiv else x ** 2.0 / -2.0 + 0.5 * x - 1.0 / 12.0
+    except OverflowError:  # x ** 2.0 raises where x * x would give inf
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"s and x put the Hurwitz zeta beyond the float range, got s = {s!r}, x = {x!r}")
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
-    """Hurwitz zeta(s, x) = sum_{k>=0} (k+x)^(-s), continued in -5 <= s <= 400."""
-    s, x = _hurwitz_args(s, x)
-    try:
-        if s <= 0.0 and s.is_integer():
-            value = _negative_integer_value(s, x)
-        else:
-            value = _hurwitz_pair(s, x)[0]
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    raise _beyond_float_range(s, x)
+    """Hurwitz zeta(s, x) = sum_{k>=0} (k+x)^(-s), continued to s = 0 and
+    s = -1, where it is the Bernoulli polynomial -B_{1-s}(x)/(1-s): 1/2 - x
+    and -x^2/2 + x/2 - 1/12.  Any other s raises a ValueError."""
+    return _hurwitz(s, x, False)
 
 
 def hurwitz_zeta_sderiv(s: float, x: float) -> float:
-    """d/ds of the Hurwitz zeta at (s, x), -5 <= s <= 400, from the same
-    Euler-Maclaurin expansion with every term differentiated analytically
-    in s; at s = -1 and x <= 3, from a Taylor series in x instead."""
-    s, x = _hurwitz_args(s, x)
-    if s == -1.0 and x <= 3.0:
-        return _zeta_sderiv_minus1_small(x)
-    try:
-        value = _hurwitz_pair(s, x)[1]
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    raise _beyond_float_range(s, x)
+    """d/ds of the Hurwitz zeta at (s, x) for s = 0, log Gamma(x) - log(2 pi)/2
+    (Lerch's formula), and for s = -1 from a Taylor or an asymptotic series
+    in x.  Any other s raises a ValueError."""
+    return _hurwitz(s, x, True)
 
 
 def riemann_zeta_prime_minus1() -> float:
@@ -521,13 +418,17 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     )
 
     r = a / b
-    zh_m1 = hurwitz_zeta(-1.0, p)
+    try:
+        zh_m1 = hurwitz_zeta(-1.0, p)
+        dzh_m1 = hurwitz_zeta_sderiv(-1.0, p)
+    except ValueError:  # p^2 overflows; the infinite terms make _fsum_result name a, b and x
+        zh_m1 = dzh_m1 = math.inf
     terms = (
         (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - (b / a) / 12.0) * math.log(a),
         0.5 * log_gamma(p),
         -0.25 * LOG_2PI,
         -r * zh_m1,
-        -r * hurwitz_zeta_sderiv(-1.0, p),
+        -r * dzh_m1,
         integral,
     )
     return _fsum_result(terms, "barnes-integral", quad_err + _ABS_TOL / 10.0, a=a, b=b, x=x)

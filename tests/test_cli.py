@@ -279,7 +279,7 @@ class TestExitCodes:
         ):
             rc, out, err = run(capsys, argv)
             assert rc == 1 and out == "", argv
-            assert err.startswith(("error: a and ", "error: a, b and x ")), argv
+            assert err.startswith("error: a and "), argv
             assert "beyond the float range" in err, argv
             assert f"a = {float(argv[3])!r}" in err, argv
 
