@@ -91,25 +91,24 @@ class CurvedDiskGeometry:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """The two sides of one identity at its worst grid point."""
+
     identity_name: str
     lhs: float
     rhs: float
-    abs_diff: float
     tolerance: float
-    passed: bool
 
     def __post_init__(self) -> None:
         if not self.identity_name:
             raise ValueError("identity_name must be nonempty")
-        if self.abs_diff < 0.0:
-            raise ValueError("abs_diff must be nonnegative")
-        if self.passed != (self.abs_diff <= self.tolerance):
-            raise ValueError("passed must equal (abs_diff <= tolerance)")
 
-    @classmethod
-    def create(cls, name: str, lhs: float, rhs: float, tolerance: float) -> "IdentityReport":
-        diff = abs(lhs - rhs)
-        return cls(name, lhs, rhs, diff, tolerance, diff <= tolerance)
+    @property
+    def abs_diff(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+    @property
+    def passed(self) -> bool:
+        return self.abs_diff <= self.tolerance
 
 
 def _log_tanh_half(eta: float) -> float:
@@ -474,5 +473,5 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
     reports = []
     for name in sorted(worst):
         lhs, rhs = worst[name]
-        reports.append(IdentityReport.create(name, lhs, rhs, _IDENTITY_OVERRIDES.get(name, tol)))
+        reports.append(IdentityReport(name, lhs, rhs, _IDENTITY_OVERRIDES.get(name, tol)))
     return reports

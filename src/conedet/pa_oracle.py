@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .quadrature import adaptive_quadrature
-from .special_functions import _ABS_TOL, _MAX_SUBDIVISIONS, _TINY, _real
+from .special_functions import _TINY, _real
 
 __all__ = [
     "ConformalFactor",
@@ -69,24 +69,16 @@ class ConformalFactor:
 
 @dataclass(frozen=True)
 class PAIntegralBreakdown:
-    """The three pieces of the anomaly functional and their sum.  total is
-    redundant but stored so a report can be serialized as-is."""
+    """The three pieces of the anomaly functional."""
 
     area_term: float
     boundary_curvature_terms: float
     boundary_normal_terms: float
-    total: float
 
-    def __post_init__(self) -> None:
-        expected = math.fsum(
-            (self.area_term, self.boundary_curvature_terms, self.boundary_normal_terms)
-        )
-        if self.total != expected:
-            raise ValueError("total must be the exact sum of the three terms")
-
-    @classmethod
-    def create(cls, area: float, curvature: float, normal: float) -> "PAIntegralBreakdown":
-        return cls(area, curvature, normal, math.fsum((area, curvature, normal)))
+    @property
+    def total(self) -> float:
+        """The exactly rounded sum of the three pieces."""
+        return math.fsum((self.area_term, self.boundary_curvature_terms, self.boundary_normal_terms))
 
 
 def grad_psi_sq(a: float, K: float, r: float) -> float:
@@ -136,7 +128,7 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
 
     # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner edge
     seeds = (rho, rho ** (2.0 / 3.0), rho ** (1.0 / 3.0), 1.0)
-    raw, _ = adaptive_quadrature(integrand, seeds, _ABS_TOL, _MAX_SUBDIVISIONS)
+    raw, _ = adaptive_quadrature(integrand, seeds)
 
     curvature = math.fsum(
         (
@@ -145,7 +137,7 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
         )
     )
     normal = math.fsum((-0.5, 0.5 + 0.5 * a - a / (K + 1.0)))
-    return PAIntegralBreakdown.create(-raw / 6.0, curvature, normal)
+    return PAIntegralBreakdown(-raw / 6.0, curvature, normal)
 
 
 def pa_disk_numeric(eta: float) -> PAIntegralBreakdown:
@@ -166,10 +158,10 @@ def pa_disk_numeric(eta: float) -> PAIntegralBreakdown:
     # geometrically from 1 to 1 - T; log(1 - T) = -log1p((e^eta - 1)/2)
     log_gap = -math.log1p(0.5 * math.expm1(eta))
     seeds = (0.0, -math.expm1(log_gap / 3.0), -math.expm1(2.0 * log_gap / 3.0), T)
-    raw, _ = adaptive_quadrature(integrand, seeds, _ABS_TOL, _MAX_SUBDIVISIONS)
+    raw, _ = adaptive_quadrature(integrand, seeds)
 
     # 1 - T^2 = 2/(1 + cosh eta), stable for all eta
     s2 = 2.0 / (1.0 + math.cosh(eta))
     curvature = -(math.log(2.0) - math.log(s2)) / 3.0
     normal = -0.5 * (math.cosh(eta) - 1.0)
-    return PAIntegralBreakdown.create(-raw / 6.0, curvature, normal)
+    return PAIntegralBreakdown(-raw / 6.0, curvature, normal)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .quadrature import adaptive_quadrature
+from .quadrature import _ABS_TOL, adaptive_quadrature
 
 __all__ = [
     "EULER_GAMMA",
@@ -140,10 +140,6 @@ _TINY = 1e-300
 # cosh overflows just above 710; keep radii where every formula stays finite
 _ETA_MAX = 700.0
 
-# The one budget of every quadrature: absolute tolerance and bisections.
-_ABS_TOL = 1e-12
-_MAX_SUBDIVISIONS = 400
-
 # Upper end of the Barnes integration range; keeps expm1(2 pi y) finite.
 _Y_MAX = 60.0
 
@@ -216,10 +212,14 @@ def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params:
         value = abs_err = math.nan
     if math.isfinite(value) and math.isfinite(abs_err):
         return EvalResult(value, abs_err, tag)
+    raise _beyond_float_range(tag, **params)
+
+
+def _beyond_float_range(tag: str, **params: float) -> ValueError:
     *init, last = params
     names = f"{', '.join(init)} and {last}" if init else last
     got = ", ".join(f"{k} = {v!r}" for k, v in params.items())
-    raise ValueError(f"{names} put the {tag} result beyond the float range, got {got}")
+    return ValueError(f"{names} put the {tag} result beyond the float range, got {got}")
 
 
 def _stirling_real(x: float) -> float:
@@ -383,12 +383,12 @@ def _barnes_integrand(a: float, b: float, x: float) -> Callable[[float], float]:
     return f
 
 
-def _truncation_point(a: float, b: float, x: float, abs_tol: float) -> float:
+def _truncation_point(a: float, b: float, x: float) -> float:
     """Smallest Y such that a crude bound on the integrand times exp(-2 pi Y)
-    is below abs_tol / 10, found by a short fixed-point iteration."""
+    is below _ABS_TOL / 10, found by a short fixed-point iteration."""
     p = x / a
     scale = b / a
-    log_target = math.log(abs_tol) - math.log(10.0)
+    log_target = math.log(_ABS_TOL) - math.log(10.0)
     y = 1.0
     for _ in range(4):
         qy = scale * y
@@ -403,19 +403,20 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     Closed Hurwitz/log-gamma terms plus one exponentially damped integral
     over [0, y_max]; y_max is the decay-bound estimate, capped at 60, a cap
     that binds only where the quadrature fails anyway (a below about 1e-137
-    at b = x = 1).
+    at b = x = 1).  Raises a ValueError naming a, b and x when x/a or b/a
+    is 0 or beyond the float range.
     """
     if not isinstance(args, BarnesArgs):
-        args = BarnesArgs(*args)
+        raise ValueError("args must be a BarnesArgs")
     a, b, x = args.a, args.b, args.x
     p = x / a
+    if not (0.0 < p < math.inf and 0.0 < b / a < math.inf):
+        raise _beyond_float_range("barnes-integral", a=a, b=b, x=x)
 
-    y_end = min(_Y_MAX, _truncation_point(a, b, x, _ABS_TOL))
+    y_end = min(_Y_MAX, _truncation_point(a, b, x))
     seeds = [t for t in (0.0, 1.0, 3.0, 8.0, 16.0, 32.0) if t < y_end]
     seeds.append(y_end)
-    integral, quad_err = adaptive_quadrature(
-        _barnes_integrand(a, b, x), seeds, _ABS_TOL, _MAX_SUBDIVISIONS
-    )
+    integral, quad_err = adaptive_quadrature(_barnes_integrand(a, b, x), seeds)
 
     r = a / b
     try:

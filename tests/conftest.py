@@ -10,13 +10,13 @@ def count_evals(monkeypatch):
     that gets one count per quadrature call."""
     calls = []
 
-    def counting(f, points, abs_tol, max_subdivisions):
+    def counting(f, points):
         def g(y):
             calls[-1] += 1
             return f(y)
 
         calls.append(0)
-        return adaptive_quadrature(g, points, abs_tol, max_subdivisions)
+        return adaptive_quadrature(g, points)
 
     def install(module):
         monkeypatch.setattr(module, "adaptive_quadrature", counting)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -422,19 +423,25 @@ class TestAnnulusRatio:
 
 
 class TestIdentityReport:
-    def test_create_sets_passed(self):
-        rep = IdentityReport.create("x", 1.0, 1.0 + 1e-12, 1e-8)
-        assert rep.passed and rep.abs_diff <= 1e-8
-        rep = IdentityReport.create("x", 1.0, 2.0, 1e-8)
-        assert not rep.passed
+    def test_passed_is_derived(self):
+        rep = IdentityReport("x", 1.0, 1.0 + 1e-12, 1e-8)
+        assert rep.passed and rep.abs_diff == abs(1.0 - (1.0 + 1e-12))
+        rep = IdentityReport("x", 1.0, 2.0, 1e-8)
+        assert not rep.passed and rep.abs_diff == 1.0
+        assert not IdentityReport("x", math.nan, 1.0, 1e-8).passed
 
     def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        # abs_diff and passed are derived, so no stored copy can disagree
+        with pytest.raises(TypeError):
             IdentityReport("x", 1.0, 2.0, 1.0, 1e-8, True)
+        assert [f.name for f in dataclasses.fields(IdentityReport)] == [
+            "identity_name",
+            "lhs",
+            "rhs",
+            "tolerance",
+        ]
         with pytest.raises(ValueError):
-            IdentityReport("", 1.0, 1.0, 0.0, 1e-8, True)
-        with pytest.raises(ValueError):
-            IdentityReport("x", 1.0, 1.0, -1.0, 1e-8, False)
+            IdentityReport("", 1.0, 1.0, 1e-8)
 
 
 class TestVerifyIdentities:

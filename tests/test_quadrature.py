@@ -99,7 +99,7 @@ def test_degree_37_polynomial_exact():
     val, err = _gk25(lambda x: 38.0 * x**37, 0.0, 1.0)
     assert abs(val - 1.0) <= 5e-15
     assert err > 1e-8
-    val, err = adaptive_quadrature(lambda x: 38.0 * x**37, (0.0, 1.0), 1e-12, 50)
+    val, err = adaptive_quadrature(lambda x: 38.0 * x**37, (0.0, 1.0))
     assert abs(val - 1.0) <= 5e-15
     assert err >= 0.0
     val, err = _gk25(lambda x: 24.0 * x**23, 0.0, 1.0)
@@ -107,26 +107,24 @@ def test_degree_37_polynomial_exact():
 
 
 def test_sin_over_period():
-    val, _ = adaptive_quadrature(math.sin, (0.0, math.pi), 1e-13, 200)
+    val, _ = adaptive_quadrature(math.sin, (0.0, math.pi))
     assert abs(val - 2.0) <= 1e-12
 
 
 def test_exponential_decay_with_interior_seeds():
-    val, _ = adaptive_quadrature(lambda x: math.exp(-x), (0.0, 1.0, 5.0, 20.0), 1e-13, 200)
+    val, _ = adaptive_quadrature(lambda x: math.exp(-x), (0.0, 1.0, 5.0, 20.0))
     assert abs(val - (1.0 - math.exp(-20.0))) <= 1e-12
 
 
 def test_steep_but_integrable():
     shift = 1e-4
-    val, _ = adaptive_quadrature(
-        lambda x: 1.0 / math.sqrt(x + shift), (0.0, 1e-3, 1e-1, 1.0), 1e-12, 400
-    )
+    val, _ = adaptive_quadrature(lambda x: 1.0 / math.sqrt(x + shift), (0.0, 1e-3, 1e-1, 1.0))
     exact = 2.0 * (math.sqrt(1.0 + shift) - math.sqrt(shift))
     assert abs(val - exact) <= 1e-10
 
 
 def test_value_within_requested_tolerance():
-    val, err = adaptive_quadrature(lambda x: math.exp(x) * math.cos(3.0 * x), (0.0, 2.0), 1e-12, 200)
+    val, err = adaptive_quadrature(lambda x: math.exp(x) * math.cos(3.0 * x), (0.0, 2.0))
     exact = (math.exp(2.0) * (math.cos(6.0) + 3.0 * math.sin(6.0)) - 1.0) / 10.0
     assert err <= 1e-12
     assert abs(val - exact) <= 1e-11
@@ -134,20 +132,21 @@ def test_value_within_requested_tolerance():
 
 def test_breakpoints_must_increase():
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, (0.0, 1.0, 1.0), 1e-10, 10)
+        adaptive_quadrature(math.sin, (0.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        adaptive_quadrature(math.sin, (1.0,), 1e-10, 10)
+        adaptive_quadrature(math.sin, (1.0,))
 
 
 def test_budget_exhaustion_raises():
-    # kink at an irrational point defeats a 1-split budget at this tolerance
-    with pytest.raises(QuadratureError):
-        adaptive_quadrature(lambda x: abs(x - 1.0 / math.pi) ** 0.5, (0.0, 1.0), 1e-14, 1)
+    # 1/x diverges at 0, and every panel [0, h] has the same estimate, so
+    # the loop bisects it until the budget runs out
+    with pytest.raises(QuadratureError, match=r" after 400 subdivisions$"):
+        adaptive_quadrature(lambda x: 1.0 / x, (0.0, 1.0))
 
 
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError):
-        adaptive_quadrature(lambda x: math.nan, (0.0, 1.0), 1e-10, 10)
+        adaptive_quadrature(lambda x: math.nan, (0.0, 1.0))
 
 
 @given(
@@ -170,6 +169,6 @@ def test_polynomials_match_antiderivative(coeffs, lo, span):
             acc = acc * x + coeffs[k] / (k + 1)
         return acc * x
 
-    val, _ = adaptive_quadrature(poly, (lo, hi), 1e-12, 100)
+    val, _ = adaptive_quadrature(poly, (lo, hi))
     exact = antideriv(hi) - antideriv(lo)
     assert abs(val - exact) <= 1e-10 * (1.0 + abs(exact))

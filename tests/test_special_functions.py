@@ -379,10 +379,9 @@ class TestBarnes:
         assert res.formula_tag == "barnes-integral"
         assert res.abs_err > 0.0
 
-    def test_tuple_coercion(self):
-        assert barnes_zeta_prime0((1.0, 1.0, 1.0)).value == barnes_zeta_prime0(
-            BarnesArgs(1.0, 1.0, 1.0)
-        ).value
+    def test_tuple_rejected(self):
+        with pytest.raises(ValueError, match=r"^args must be a BarnesArgs$"):
+            barnes_zeta_prime0((1.0, 1.0, 1.0))
 
     # zeta_B'(0; a, 1, 1) from mpmath: the same integral representation by
     # tanh-sinh quadrature and mpmath's Hurwitz zeta, computed at 50 digits
@@ -455,7 +454,7 @@ class TestBarnes:
         binding = 0
         for e in exponents:
             a = 10.0**e
-            if SF._truncation_point(a, 1.0, 1.0, SF._ABS_TOL) < SF._Y_MAX:
+            if SF._truncation_point(a, 1.0, 1.0) < SF._Y_MAX:
                 continue
             binding += 1
             with pytest.raises(QuadratureError):
@@ -463,14 +462,19 @@ class TestBarnes:
         assert binding >= 8
 
     def test_overflow_names_every_parameter(self):
-        # a = 1e308 summed to -inf with abs_err inf; at the last two, p = x/a
-        # is too large for zeta(-1, p)
+        # a = 1e308 summed to -inf with abs_err inf; at (1, 1, 1e200) and
+        # (1e-5, 1, 1e150), p = x/a is too large for zeta(-1, p); at the last
+        # four, x/a or b/a is 0 or inf
         for a, b, x in (
             (1e307, 1.0, 1.0),
             (1e308, 1.0, 1.0),
             (1.7e308, 1.0, 1.0),
             (1.0, 1.0, 1e200),
             (1e-5, 1.0, 1e150),
+            (1e-300, 1.0, 1e300),
+            (1e300, 1.0, 1e-300),
+            (1e-300, 1e300, 1.0),
+            (1e-200, 1e200, 1.0),
         ):
             with pytest.raises(ValueError, match=r"^a, b and x put the barnes-integral result beyond") as exc:
                 barnes_zeta_prime0(BarnesArgs(a, b, x))
