@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .determinants import (
     ConeGeometry,

@@ -23,7 +23,6 @@ route to the same number and reports the residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .special_functions import (
@@ -36,6 +35,8 @@ from .special_functions import (
     _fsum_result,
     _orbifold_gamma_sum,
     _real,
+    _Record,
+    _set,
     barnes_zeta_prime0,
     barnes_zeta_prime0_orbifold,
     riemann_zeta_prime_minus1,
@@ -63,44 +64,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeGeometry:
+class ConeGeometry(_Record):
     """Cone of total angle 2*pi*a and geodesic radius eta on the curvature
     -1 model."""
 
+    __slots__ = __match_args__ = ("a", "eta")
     a: float
     eta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _real("a", self.a, _TINY))
-        object.__setattr__(self, "eta", _real("eta", self.eta, _TINY, _ETA_MAX))
+    def __init__(self, a: float, eta: float) -> None:
+        _set(self, "a", _real("a", a, _TINY))
+        _set(self, "eta", _real("eta", eta, _TINY, _ETA_MAX))
 
 
-@dataclass(frozen=True)
-class CurvedDiskGeometry:
+class CurvedDiskGeometry(_Record):
     """Unit disk carrying the constant-curvature cone metric with angle
     2*pi*a and curvature K > -1."""
 
+    __slots__ = __match_args__ = ("a", "K")
     a: float
     K: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _real("a", self.a, _TINY))
-        object.__setattr__(self, "K", _real("K", self.K, -1.0, open_lo=True))
+    def __init__(self, a: float, K: float) -> None:
+        _set(self, "a", _real("a", a, _TINY))
+        _set(self, "K", _real("K", K, -1.0, open_lo=True))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """The two sides of one identity at its worst grid point."""
 
+    __slots__ = __match_args__ = ("identity_name", "lhs", "rhs", "tolerance")
     identity_name: str
     lhs: float
     rhs: float
     tolerance: float
 
-    def __post_init__(self) -> None:
-        if not self.identity_name:
+    def __init__(self, identity_name: str, lhs: float, rhs: float, tolerance: float) -> None:
+        if not identity_name:
             raise ValueError("identity_name must be nonempty")
+        _set(self, "identity_name", identity_name)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "tolerance", tolerance)
 
     @property
     def abs_diff(self) -> float:

@@ -15,10 +15,9 @@ is radial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .quadrature import adaptive_quadrature
-from .special_functions import _TINY, _real
+from .special_functions import _TINY, _real, _Record, _set
 
 __all__ = [
     "ConformalFactor",
@@ -38,18 +37,18 @@ _RHO_MAX = 1.0 - 1e-15
 _DISK_ETA_MAX = 7.5
 
 
-@dataclass(frozen=True)
-class ConformalFactor:
+class ConformalFactor(_Record):
     """Radial conformal factor of the angle 2*pi*a, curvature K cone metric
     on the unit disk: e^{2 psi(r)} |dz|^2 with
     psi(r) = (a-1) log r + log(2a) - log(1 + K r^{2a})."""
 
+    __slots__ = __match_args__ = ("a", "K")
     a: float
     K: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _real("a", self.a, _TINY))
-        object.__setattr__(self, "K", _real("K", self.K, -1.0, open_lo=True))
+    def __init__(self, a: float, K: float) -> None:
+        _set(self, "a", _real("a", a, _TINY))
+        _set(self, "K", _real("K", K, -1.0, open_lo=True))
 
     def _denominator(self, r: float) -> float:
         d = 1.0 + self.K * r ** (2.0 * self.a)
@@ -67,13 +66,18 @@ class ConformalFactor:
         return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / self._denominator(r)
 
 
-@dataclass(frozen=True)
-class PAIntegralBreakdown:
+class PAIntegralBreakdown(_Record):
     """The three pieces of the anomaly functional."""
 
+    __slots__ = __match_args__ = ("area_term", "boundary_curvature_terms", "boundary_normal_terms")
     area_term: float
     boundary_curvature_terms: float
     boundary_normal_terms: float
+
+    def __init__(self, area_term: float, boundary_curvature_terms: float, boundary_normal_terms: float) -> None:
+        _set(self, "area_term", area_term)
+        _set(self, "boundary_curvature_terms", boundary_curvature_terms)
+        _set(self, "boundary_normal_terms", boundary_normal_terms)
 
     @property
     def total(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 __all__ = ["QuadratureError", "adaptive_quadrature"]
 

@@ -19,8 +19,7 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .quadrature import _ABS_TOL, adaptive_quadrature
 
@@ -172,33 +171,78 @@ def _checked_w(w: int) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class BarnesArgs:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable record types.  A subclass names its fields in
+    __slots__ and __match_args__ and sets each once in __init__, through
+    object.__setattr__, after validating it.  Equality, hashing, repr, copy
+    and pickle go through the tuple of field values.  These are plain
+    classes, not frozen dataclasses, because importing dataclasses (and the
+    inspect module it pulls in) would make up about three quarters of the
+    CLI's import time, and most CLI launches are mostly start-up."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__: __slots__ plus the __setattr__ above
+        # defeat the default copy and pickle protocols
+        return self.__class__, self._values()
+
+
+class BarnesArgs(_Record):
     """Parameters (a, b, x) of the double zeta sum_{m,n>=0}(am+bn+x)^(-s)."""
 
+    __slots__ = __match_args__ = ("a", "b", "x")
     a: float
     b: float
     x: float
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "x"):
-            object.__setattr__(self, name, _real(name, getattr(self, name), _TINY))
+    def __init__(self, a: float, b: float, x: float) -> None:
+        _set(self, "a", _real("a", a, _TINY))
+        _set(self, "b", _real("b", b, _TINY))
+        _set(self, "x", _real("x", x, _TINY))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Record):
     """A value together with an absolute error estimate and a tag naming
     the formula that produced it."""
 
+    __slots__ = __match_args__ = ("value", "abs_err", "formula_tag")
     value: float
     abs_err: float
     formula_tag: str
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.abs_err, float) and self.abs_err >= 0.0):
-            raise ValueError(f"abs_err must be a nonnegative float, got {self.abs_err!r}")
-        if not self.formula_tag:
+    def __init__(self, value: float, abs_err: float, formula_tag: str) -> None:
+        if not (isinstance(abs_err, float) and abs_err >= 0.0):
+            raise ValueError(f"abs_err must be a nonnegative float, got {abs_err!r}")
+        if not formula_tag:
             raise ValueError("formula_tag must be a nonempty string")
+        _set(self, "value", value)
+        _set(self, "abs_err", abs_err)
+        _set(self, "formula_tag", formula_tag)
 
 
 def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params: float) -> EvalResult:

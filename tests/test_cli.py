@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import conedet
 import conedet.determinants as determinants
 import conedet.special_functions as SF
 from conedet.cli import _parse_grid, main
@@ -288,3 +292,18 @@ class TestExitCodes:
         assert rc == 1
         rc, _, _ = run(capsys, ["nosuchcommand"])
         assert rc == 1
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    # -S skips site, whose .pth files may import typing on their own; the
+    # three modules cost most of a launch's import time when they are loaded
+    src = os.path.dirname(os.path.dirname(conedet.__file__))
+    code = "import sys, conedet.cli; print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -434,7 +433,7 @@ class TestIdentityReport:
         # abs_diff and passed are derived, so no stored copy can disagree
         with pytest.raises(TypeError):
             IdentityReport("x", 1.0, 2.0, 1.0, 1e-8, True)
-        assert [f.name for f in dataclasses.fields(IdentityReport)] == [
+        assert list(IdentityReport.__slots__) == [
             "identity_name",
             "lhs",
             "rhs",
