@@ -77,10 +77,6 @@ def _negated(res: EvalResult, tag: str) -> EvalResult:
     return EvalResult(-res.value, res.abs_err, tag)
 
 
-def _closed(value: float, tag: str, params: dict) -> EvalResult:
-    return _fsum_result((value,), tag, **params)
-
-
 _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
     "hyperbolic": (
         ("a", "eta"),
@@ -101,10 +97,10 @@ _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
             zeta_prime0_unit_disk_cone(CurvedDiskGeometry(p["a"], p["K"])), "disk-cone-logdet"
         ),
     ),
-    "flatdisk": (("r",), lambda p: _closed(logdet_flat_disk(p["r"]), "flat-disk-logdet", p)),
+    "flatdisk": (("r",), lambda p: _fsum_result((logdet_flat_disk(p["r"]),), "flat-disk-logdet", **p)),
     "poincarecap": (
         ("eta",),
-        lambda p: _closed(logdet_poincare_cap(p["eta"]), "poincare-cap-logdet", p),
+        lambda p: _fsum_result((logdet_poincare_cap(p["eta"]),), "poincare-cap-logdet", **p),
     ),
 }
 
@@ -232,15 +228,6 @@ def _points(
     return [{n: point[n] for n in names} for point in points]
 
 
-def _record(res: EvalResult, params: dict) -> dict:
-    return {
-        "formula_tag": res.formula_tag,
-        "params": params,
-        "value": res.value,
-        "abs_err": res.abs_err,
-    }
-
-
 def _csv(columns: list[str], rows: list[list]) -> str:
     return "\n".join([",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
 
@@ -252,46 +239,50 @@ def _records(columns: list[str], rows: list[list], fmt: str) -> str:
     return _csv(columns, rows)
 
 
-def _results_csv(names: tuple[str, ...], results: list[tuple[dict, EvalResult]]) -> str:
-    rows = [[*point.values(), res.value, res.abs_err] for point, res in results]
-    return _csv([*names, "value", "abs_err"], rows)
-
-
 def _evaluate_by_angle(evaluate: Callable[[dict], EvalResult], points: list[dict]) -> list[EvalResult]:
     """evaluate at every point, returned in the order of points.  The points
     are visited in a stable order sorted by the angle a (kinds without one
     keep their order), so points sharing an angle come one after another and
     hit the Barnes cache however many angles the grid has.  A failure raises
     what evaluating in the order of points would have raised first."""
-    results: dict[int, EvalResult] = {}
+    results: list = [None] * len(points)
     for i in sorted(range(len(points)), key=lambda i: points[i].get("a", 0.0)):
         try:
             results[i] = evaluate(points[i])
         except Exception:
-            for j in range(i):
-                if j not in results:
-                    evaluate(points[j])
+            # evaluation is deterministic, so no point after i fails first
+            for point in points[:i]:
+                evaluate(point)
             raise
-    return [results[i] for i in range(len(points))]
+    return results
 
 
-def _cmd_det(args: argparse.Namespace) -> str:
+def _cmd_points(args: argparse.Namespace, grids: list[tuple[str, list[float]]]) -> str:
+    """det (no grids) or table output: the kind at every point, as the plain
+    det report, a CSV table, or JSON records, one object for det and an
+    array for table."""
     names, evaluate = _KINDS[args.kind]
-    (params,) = _points(args, names, [])
-    res = evaluate(params)
-    if args.format == "json":
-        return _json(_record(res, params)) + "\n"
+    points = _points(args, names, grids)
+    results = _evaluate_by_angle(evaluate, points)
+    if args.format == "plain":
+        (res,) = results
+        return (
+            f"logdet = {_fmt(res.value)}\n"
+            f"abs_err = {_fmt(res.abs_err)}\n"
+            f"formula = {res.formula_tag}\n"
+        )
     if args.format == "csv":
-        return _results_csv(names, [(params, res)])
-    return (
-        f"logdet = {_fmt(res.value)}\n"
-        f"abs_err = {_fmt(res.abs_err)}\n"
-        f"formula = {res.formula_tag}\n"
-    )
+        rows = [[*point.values(), res.value, res.abs_err] for point, res in zip(points, results)]
+        return _csv([*names, "value", "abs_err"], rows)
+    records = [
+        {"formula_tag": res.formula_tag, "params": point, "value": res.value, "abs_err": res.abs_err}
+        for point, res in zip(points, results)
+    ]
+    return _json(records if grids else records[0]) + "\n"
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
-    names, evaluate = _KINDS[args.kind]
+    names = _KINDS[args.kind][0]
     if not args.grid:
         raise ValueError("table requires at least one --grid")
     if len(args.grid) > 2:
@@ -305,12 +296,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
         if any(name == seen for seen, _ in grids):
             raise ValueError(f"parameter {name!r} gridded twice")
         grids.append((name, values))
-
-    points = _points(args, names, grids)
-    results = list(zip(points, _evaluate_by_angle(evaluate, points)))
-    if args.format == "json":
-        return _json([_record(res, point) for point, res in results]) + "\n"
-    return _results_csv(names, results)
+    return _cmd_points(args, grids)
 
 
 def _cmd_asympt(args: argparse.Namespace) -> str:
@@ -354,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "det":
-            sys.stdout.write(_cmd_det(args))
+            sys.stdout.write(_cmd_points(args, []))
         elif args.command == "table":
             sys.stdout.write(_cmd_table(args))
         elif args.command == "asympt":

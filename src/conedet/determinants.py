@@ -28,9 +28,11 @@ from functools import lru_cache
 from .special_functions import (
     _ETA_MAX,
     _TINY,
+    EULER_GAMMA,
     LOG_2PI,
     BarnesArgs,
     EvalResult,
+    _beyond_float_range,
     _checked_w,
     _fsum_result,
     _orbifold_gamma_sum,
@@ -216,7 +218,7 @@ def fp_asymptotics_reference(w: int, eta: float) -> float:
         (
             -(ww / 6.0 + 1.0 / (6.0 * ww)) * math.log(eta),
             -ww * (-2.0 * riemann_zeta_prime_minus1() + 1.0 / 6.0 - math.log(2.0) / 6.0),
-            -(5.0 / 12.0 - math.log(2.0) / 6.0 + 0.5772156649015328606065121 / 6.0) / ww,
+            -(5.0 / 12.0 - math.log(2.0) / 6.0 + EULER_GAMMA / 6.0) / ww,
             0.5 * math.log(ww),
             ww * math.log(ww) / 6.0,
             math.log(ww) / (6.0 * ww),
@@ -324,10 +326,7 @@ def rescale_logdet(logdet: float, zeta0: float, C: float) -> float:
     logdet, zeta0 = _real("logdet", logdet), _real("zeta0", zeta0)
     result = logdet - zeta0 * math.log(C)
     if not math.isfinite(result):
-        raise ValueError(
-            "logdet, zeta0 and C put logdet - zeta0 log C beyond the float range, "
-            f"got logdet = {logdet!r}, zeta0 = {zeta0!r}, C = {C!r}"
-        )
+        raise _beyond_float_range("logdet - zeta0 log C", logdet=logdet, zeta0=zeta0, C=C)
     return result
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .quadrature import adaptive_quadrature
-from .special_functions import _TINY, _real, _Record, _set
+from .special_functions import _TINY, _beyond_float_range, _real, _Record, _set
 
 __all__ = [
     "ConformalFactor",
@@ -51,19 +51,24 @@ class ConformalFactor(_Record):
         _set(self, "K", _real("K", K, -1.0, open_lo=True))
 
     def _denominator(self, r: float) -> float:
-        d = 1.0 + self.K * r ** (2.0 * self.a)
-        if d < 1e-300:
-            raise ValueError(f"metric degenerates at r = {r!r}: 1 + K r^2a = {d!r}")
-        return d
+        # at least 1 + K >= 2^-53, since K > -1 and r <= 1
+        return 1.0 + self.K * r ** (2.0 * self.a)
+
+    def _finite(self, what: str, value: float, r: float) -> float:
+        if math.isfinite(value):
+            return value
+        raise _beyond_float_range(what, a=self.a, K=self.K, r=r)
 
     def psi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
-        return (self.a - 1.0) * math.log(r) + math.log(2.0 * self.a) - math.log(self._denominator(r))
+        value = (self.a - 1.0) * math.log(r) + math.log(2.0 * self.a) - math.log(self._denominator(r))
+        return self._finite("psi", value, r)
 
     def dpsi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
         a, K = self.a, self.K
-        return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / self._denominator(r)
+        value = (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / self._denominator(r)
+        return self._finite("psi'", value, r)
 
 
 class PAIntegralBreakdown(_Record):
@@ -87,8 +92,9 @@ class PAIntegralBreakdown(_Record):
 
 def grad_psi_sq(a: float, K: float, r: float) -> float:
     """|grad psi|^2 = psi'(r)^2 for the radial cone conformal factor."""
-    d = ConformalFactor(a, K).dpsi(r)
-    return d * d
+    cf = ConformalFactor(a, K)
+    d = cf.dpsi(r)
+    return cf._finite("|grad psi|^2", d * d, r)
 
 
 def _area_term_closed_form(a: float, K: float) -> float:

@@ -6,10 +6,8 @@ is bisected until the summed estimate drops below the absolute tolerance.
 
 This module owns the one budget of every quadrature in the package:
 absolute tolerance _ABS_TOL = 1e-12 and at most _MAX_SUBDIVISIONS = 400
-bisections.  No caller can change it.  At this budget the Barnes integral
-of the cone determinants fails at a growing share of angles below about
-a = 1e-8 and at every angle below 1e-17 on a scan in 0.1-decade steps
-(README, Accuracy).  Everything is plain float arithmetic, so a given
+bisections.  No caller can change it; README, Accuracy, says which inputs
+fail to meet it.  Everything is plain float arithmetic, so a given
 integrand and breakpoints always produce bitwise identical results.
 """
 

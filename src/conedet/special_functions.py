@@ -44,31 +44,18 @@ LOG_2PI = math.log(2.0 * math.pi)
 # zeta_R'(-1) = 1/12 - log(Glaisher constant)
 _ZETA_PRIME_MINUS_ONE = -0.1654211437004509292139197
 
-# Stirling series coefficients B_{2j} / (2j (2j-1)) for log Gamma.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
+# B_2, B_4, ..., B_20 as (numerator, denominator); every coefficient below
+# is one such quotient, divided in integers and rounded once.
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+    (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
 )
 
+# Stirling series coefficients B_{2j} / (2j (2j-1)) for log Gamma.
+_STIRLING = tuple(n / (d * 2 * j * (2 * j - 1)) for j, (n, d) in enumerate(_BERNOULLI, 1))
+
 # B_{2j} / (2j) for the digamma asymptotic series.
-_DIGAMMA = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
+_DIGAMMA = tuple(n / (d * 2 * j) for j, (n, d) in enumerate(_BERNOULLI[:8], 1))
 
 # zeta(k) - 1 for k = 2, 3, ..., 45, the coefficients of the Taylor series
 # of zeta'(-1, x) about x = 2; the first omitted term is below 2e-17 for
@@ -122,12 +109,8 @@ _ZETA_MINUS_ONE = (
 
 # B_{2k+2} / ((2k+2)(2k+1) 2k) for k = 1, ..., 5, the coefficients of the
 # asymptotic series of zeta'(-1, x) in x^(-2k).
-_ZETA_SDERIV_TAIL = (
-    -1.0 / 720.0,
-    1.0 / 5040.0,
-    -1.0 / 10080.0,
-    1.0 / 9504.0,
-    -691.0 / 3603600.0,
+_ZETA_SDERIV_TAIL = tuple(
+    n / (d * (2 * k + 2) * (2 * k + 1) * 2 * k) for k, (n, d) in enumerate(_BERNOULLI[1:6], 1)
 )
 
 # The Stirling tail reaches double precision once Re z is past this line.
@@ -256,14 +239,15 @@ def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params:
         value = abs_err = math.nan
     if math.isfinite(value) and math.isfinite(abs_err):
         return EvalResult(value, abs_err, tag)
-    raise _beyond_float_range(tag, **params)
+    raise _beyond_float_range(f"the {tag} result", **params)
 
 
-def _beyond_float_range(tag: str, **params: float) -> ValueError:
+def _beyond_float_range(what: str, **params: float) -> ValueError:
+    """The ValueError saying that params, the inputs, put what beyond the float range."""
     *init, last = params
     names = f"{', '.join(init)} and {last}" if init else last
     got = ", ".join(f"{k} = {v!r}" for k, v in params.items())
-    return ValueError(f"{names} put the {tag} result beyond the float range, got {got}")
+    return ValueError(f"{names} put {what} beyond the float range, got {got}")
 
 
 def _stirling_real(x: float) -> float:
@@ -391,7 +375,7 @@ def _hurwitz(s: float, x: float, sderiv: bool) -> float:
         value = math.inf
     if math.isfinite(value):
         return value
-    raise ValueError(f"s and x put the Hurwitz zeta beyond the float range, got s = {s!r}, x = {x!r}")
+    raise _beyond_float_range("the Hurwitz zeta", s=s, x=x)
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
@@ -455,7 +439,7 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     a, b, x = args.a, args.b, args.x
     p = x / a
     if not (0.0 < p < math.inf and 0.0 < b / a < math.inf):
-        raise _beyond_float_range("barnes-integral", a=a, b=b, x=x)
+        raise _beyond_float_range("the barnes-integral result", a=a, b=b, x=x)
 
     y_end = min(_Y_MAX, _truncation_point(a, b, x))
     seeds = [t for t in (0.0, 1.0, 3.0, 8.0, 16.0, 32.0) if t < y_end]

@@ -111,9 +111,16 @@ class TestTable:
         assert out1 == out2
 
     def test_single_point_grid_matches_det(self, capsys):
-        _, table_out, _ = run(capsys, ["table", "flatdisk", "--grid", "r=1.5,1.5,1"])
-        _, det_out, _ = run(capsys, ["det", "flatdisk", "--r", "1.5", "--format", "csv"])
-        assert table_out == det_out
+        # det is a one-point table: the same CSV, and the det JSON record
+        # is the one element of the table's array
+        for kind, fixed, name, value in (("flatdisk", [], "r", "1.5"), ("hyperbolic", ["--eta", "1"], "a", "0.5")):
+            for fmt in ("csv", "json"):
+                grid = f"{name}={value},{value},1"
+                rc1, table_out, _ = run(capsys, ["table", kind, *fixed, "--grid", grid, "--format", fmt])
+                rc2, det_out, _ = run(capsys, ["det", kind, *fixed, f"--{name}", value, "--format", fmt])
+                assert rc1 == rc2 == 0
+                want = det_out if fmt == "csv" else "[" + det_out[:-1] + "]\n"
+                assert table_out == want, (kind, fmt)
 
     def test_json_records(self, capsys):
         rc, out, _ = run(

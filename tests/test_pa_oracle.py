@@ -15,6 +15,8 @@ from conedet.pa_oracle import (
     pa_disk_numeric,
 )
 
+_K_EDGE = math.nextafter(-1.0, 0.0)
+
 
 class TestConformalFactor:
     def test_boundary_value(self):
@@ -60,6 +62,28 @@ class TestConformalFactor:
             cf.psi(1.5)
         with pytest.raises(ValueError):
             cf.dpsi(-0.2)
+
+    def test_smallest_denominator_is_finite(self):
+        # 1 + K r^2a is smallest at K just above -1 and r = 1: 2^-53, not 0
+        cf = ConformalFactor(1.0, _K_EDGE)
+        assert cf._denominator(1.0) == 2.0**-53
+        assert math.isfinite(cf.psi(1.0)) and math.isfinite(cf.dpsi(1.0))
+
+    @pytest.mark.parametrize(
+        "call, what, a, K, r",
+        [
+            (lambda: grad_psi_sq(0.5, 0.0, 1e-300), "|grad psi|^2", 0.5, 0.0, 1e-300),
+            (lambda: ConformalFactor(1e300, _K_EDGE).dpsi(1.0), "psi'", 1e300, _K_EDGE, 1.0),
+            (lambda: ConformalFactor(1e308, 0.5).psi(1e-300), "psi", 1e308, 0.5, 1e-300),
+        ],
+    )
+    def test_beyond_float_range_names_a_K_and_r(self, call, what, a, K, r):
+        # these validated points returned inf, inf and nan
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"a, K and r put {what} beyond the float range, got a = {a!r}, K = {K!r}, r = {r!r}"
+        )
 
 
 class TestGradPsiSq:

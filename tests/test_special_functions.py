@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -479,6 +480,30 @@ class TestBarnes:
             with pytest.raises(ValueError, match=r"^a, b and x put the barnes-integral result beyond") as exc:
                 barnes_zeta_prime0(BarnesArgs(a, b, x))
             assert str(exc.value).endswith(f"got a = {a!r}, b = {b!r}, x = {x!r}"), str(exc.value)
+
+
+def _bernoulli(n):
+    # mpmath's exact-fraction form of mpmath.bernoulli(n)
+    p, q = mpmath.bernfrac(n)
+    return Fraction(int(p), int(q))
+
+
+# each series coefficient as the exact rational it approximates
+COEFFICIENT_TABLES = [
+    ("_STIRLING", [_bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, 11)]),
+    ("_DIGAMMA", [_bernoulli(2 * j) / (2 * j) for j in range(1, 9)]),
+    ("_ZETA_SDERIV_TAIL", [_bernoulli(2 * k + 2) / ((2 * k + 2) * (2 * k + 1) * 2 * k) for k in range(1, 6)]),
+]
+
+
+@pytest.mark.parametrize("name, exact", COEFFICIENT_TABLES, ids=[name for name, _ in COEFFICIENT_TABLES])
+def test_coefficient_table_holds_nearest_doubles(name, exact):
+    # Fraction -> float rounds once, to nearest; rounding twice, as
+    # (n / d) / k does, is off by an ulp at several entries
+    table = getattr(SF, name)
+    assert len(table) == len(exact)
+    for got, want in zip(table, exact):
+        assert got == float(want), (name, got, want)
 
 
 class TestValidation:
