@@ -336,7 +336,10 @@ def annulus_ratio_closed_form(a: float, K: float) -> float:
     must stay inside the unit disk)."""
     a = _real("a", a, _TINY)
     K = _real("K", K, 1.0, open_lo=True)
-    return 2.0 * a / 3.0 - 4.0 / 3.0 * a / (K + 1.0) - (a - 1.0 / a) / 12.0 * math.log(K)
+    value = 2.0 * a / 3.0 - 4.0 / 3.0 * a / (K + 1.0) - (a - 1.0 / a) / 12.0 * math.log(K)
+    if math.isfinite(value):
+        return value
+    raise _beyond_float_range("the annulus ratio", a=a, K=K)
 
 
 # Identities whose meaningful scale is fixed by the mathematics rather than

@@ -129,9 +129,9 @@ def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) ->
         total_err += e1 + e2 + neg_err
         splits += 1
 
-    segments = sorted(heap, key=lambda t: t[1])
-    value = math.fsum(seg[3] for seg in segments)
-    err = math.fsum(-seg[0] for seg in segments)
+    # fsum is correctly rounded, so the order of the terms does not matter
+    value = math.fsum(seg[3] for seg in heap)
+    err = math.fsum(-seg[0] for seg in heap)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise QuadratureError("integrand produced a non-finite value")
     return value, err

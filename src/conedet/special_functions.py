@@ -122,7 +122,9 @@ _TINY = 1e-300
 # cosh overflows just above 710; keep radii where every formula stays finite
 _ETA_MAX = 700.0
 
-# Upper end of the Barnes integration range; keeps expm1(2 pi y) finite.
+# Upper end of the Barnes integration range; keeps expm1(2 pi y) finite.  The
+# decay bound reaches it only where x/a is above about 7e140 or b/a above
+# about 1e137.
 _Y_MAX = 60.0
 
 
@@ -262,13 +264,18 @@ def _stirling_real(x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
+    """log Gamma(x) for x > 0.  Raises a ValueError naming x where the value
+    overflows, from about x = 2.6e305 up."""
     x = _real("x", x, 0.0, open_lo=True)
+    y = x
     shift = 0.0
-    while x < _STIRLING_EDGE:
-        shift += math.log(x)
-        x += 1.0
-    return _stirling_real(x) - shift
+    while y < _STIRLING_EDGE:
+        shift += math.log(y)
+        y += 1.0
+    value = _stirling_real(y) - shift
+    if value < math.inf:
+        return value
+    raise _beyond_float_range("log Gamma", x=x)
 
 
 def im_log_gamma(p: float, q: float) -> float:
@@ -276,8 +283,15 @@ def im_log_gamma(p: float, q: float) -> float:
 
     Odd in q by construction: the q < 0 branch returns the negated
     reflection, so im_log_gamma(p, -q) == -im_log_gamma(p, q) exactly.
+    Raises a ValueError naming p and q where the value overflows, for |q|
+    from about 2.6e305 up.
     """
-    return _im_log_gamma(_real("p", p, 0.0, open_lo=True), _real("q", q))
+    p = _real("p", p, 0.0, open_lo=True)
+    q = _real("q", q)
+    value = _im_log_gamma(p, q)
+    if math.isfinite(value):
+        return value
+    raise _beyond_float_range("Im log Gamma", p=p, q=q)
 
 
 def _im_log_gamma(p: float, q: float) -> float:
@@ -305,8 +319,11 @@ def _im_log_gamma(p: float, q: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma at x > 0."""
+    """Logarithmic derivative of Gamma at x > 0.  Raises a ValueError naming
+    x where 1/x overflows, below about x = 5.6e-309."""
     x = _real("x", x, 0.0, open_lo=True)
+    if not 1.0 / x < math.inf:
+        raise _beyond_float_range("digamma", x=x)
     acc = 0.0
     while x < 12.0:
         acc += 1.0 / x
@@ -371,7 +388,7 @@ def _hurwitz(s: float, x: float, sderiv: bool) -> float:
             value = log_gamma(x) - 0.5 * LOG_2PI if sderiv else 0.5 - x
         else:
             value = _zeta_sderiv_minus1(x) if sderiv else x ** 2.0 / -2.0 + 0.5 * x - 1.0 / 12.0
-    except OverflowError:  # x ** 2.0 raises where x * x would give inf
+    except (OverflowError, ValueError):  # x ** 2.0 or log_gamma(x) overflowed
         value = math.inf
     if math.isfinite(value):
         return value
@@ -400,12 +417,9 @@ def riemann_zeta_prime_minus1() -> float:
 def _barnes_integrand(a: float, b: float, x: float) -> Callable[[float], float]:
     p = x / a
     scale = b / a
-    limit = -(scale / math.pi) * digamma(p)
     two_pi = 2.0 * math.pi
 
     def f(y: float) -> float:
-        if y < 1e-10:
-            return limit
         return -2.0 * _im_log_gamma(p, scale * y) / math.expm1(two_pi * y)
 
     return f
@@ -429,10 +443,11 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     """d/ds at s=0 of the double zeta sum_{m,n>=0} (a m + b n + x)^(-s).
 
     Closed Hurwitz/log-gamma terms plus one exponentially damped integral
-    over [0, y_max]; y_max is the decay-bound estimate, capped at 60, a cap
-    that binds only where the quadrature fails anyway (a below about 1e-137
-    at b = x = 1).  Raises a ValueError naming a, b and x when x/a or b/a
-    is 0 or beyond the float range.
+    over [0, y_max]; y_max is the decay-bound estimate, capped at 60.  The
+    cap binds only where x/a is above about 7e140 or b/a above about 1e137;
+    at (1, 1, 1e150) the bound is 63.5 and the capped integral still meets
+    its bar.  Raises a ValueError naming a, b and x when x/a or b/a is 0 or
+    the value is beyond the float range.
     """
     if not isinstance(args, BarnesArgs):
         raise ValueError("args must be a BarnesArgs")
@@ -450,11 +465,12 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     try:
         zh_m1 = hurwitz_zeta(-1.0, p)
         dzh_m1 = hurwitz_zeta_sderiv(-1.0, p)
-    except ValueError:  # p^2 overflows; the infinite terms make _fsum_result name a, b and x
-        zh_m1 = dzh_m1 = math.inf
+        lg = log_gamma(p)
+    except ValueError:  # p^2 or log Gamma(p) overflows
+        raise _beyond_float_range("the barnes-integral result", a=a, b=b, x=x) from None
     terms = (
         (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - (b / a) / 12.0) * math.log(a),
-        0.5 * log_gamma(p),
+        0.5 * lg,
         -0.25 * LOG_2PI,
         -r * zh_m1,
         -r * dzh_m1,

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -255,6 +256,11 @@ class TestHurwitzZeta:
         for f in (hurwitz_zeta, hurwitz_zeta_sderiv):
             with pytest.raises(ValueError, match=r"^s and x put .* got s = .*, x = "):
                 f(-1.0, 1e300)
+        # log Gamma(x) overflows inside Lerch's formula
+        want = "s and x put the Hurwitz zeta beyond the float range, got s = 0.0, x = 1e+306"
+        with pytest.raises(ValueError) as exc:
+            hurwitz_zeta_sderiv(0.0, 1e306)
+        assert str(exc.value) == want
 
     def test_pole_and_domain(self):
         with pytest.raises(ValueError):
@@ -368,12 +374,15 @@ class TestBarnes:
                     rhs = -math.log(b) * (0.5 - x / b) + log_gamma(x / b) - 0.5 * LOG_2PI
                     assert abs(lhs - rhs) <= 1e-11, (a, b, x)
 
-    def test_integrand_endpoint_limit(self):
+    def test_integrand_tends_to_its_endpoint_limit(self):
+        # -2 Im log Gamma(p + i s y) / expm1(2 pi y) = -(s/pi) psi(p) (1 - pi y + O(y^2))
+        # with p = x/a and s = b/a, so the one formula needs no substitute
+        # near y = 0, where no quadrature node falls
         for a, b, x in ((1.0, 1.0, 1.0), (0.2, 1.0, 1.0), (3.0, 2.0, 0.7)):
             f = _barnes_integrand(a, b, x)
-            at_zero = f(0.0)
-            near_zero = f(1e-6)
-            assert abs(at_zero - near_zero) <= 1e-5 * abs(near_zero), (a, b, x)
+            limit = -(b / (a * math.pi)) * digamma(x / a)
+            for y in (1e-6, 1e-12, 1e-100):
+                assert abs(f(y) - limit) <= (4.0 * y + 1e-14) * abs(limit), (a, b, x, y)
 
     def test_result_metadata(self):
         res = barnes_zeta_prime0(BarnesArgs(0.5, 1.0, 1.0))
@@ -429,6 +438,39 @@ class TestBarnes:
         res = barnes_zeta_prime0(BarnesArgs(*a) if isinstance(a, tuple) else BarnesArgs(a, 1.0, 1.0))
         assert abs(mpmath.mpf(res.value) - mpmath.mpf(want)) <= res.abs_err
 
+    @pytest.mark.parametrize("x", [1e-8, 1e-9, 1e-10, 1e-12, 1e-20, 1e-50])
+    def test_error_bar_holds_at_small_x(self, x):
+        # the integrand has a spike of width about x/b next to y = 0; the
+        # reference is the exact form at equal periods a = b, with u = x/b,
+        # zeta_B'(0; b, b, x) = zeta'(-1, u) + (1 - u)(log Gamma(u) - log(2 pi)/2)
+        #                       - log b (zeta(-1, u) + (1 - u) zeta(0, u)),
+        # whose last term vanishes at b = 1
+        mpmath.mp.dps = 30
+        res = barnes_zeta_prime0(BarnesArgs(1.0, 1.0, x))
+        u = mpmath.mpf(x)
+        want = mpmath.zeta(-1, u, 1) + (1 - u) * (mpmath.loggamma(u) - mpmath.log(2 * mpmath.pi) / 2)
+        assert abs(mpmath.mpf(res.value) - want) <= res.abs_err
+
+    def test_symmetric_in_a_and_b(self):
+        # zeta_B is symmetric in its two periods, so both orientations of a
+        # triple must agree within the sum of their bars.  In 17 of these 60
+        # triples one orientation exhausts the quadrature budget: the
+        # integrand's spike near y = 0 grows with b/a, and the arguments are
+        # not yet normalized
+        rng = random.Random(2024)
+        lo, hi = math.log(1e-12), math.log(1e12)
+        raised = 0
+        for _ in range(60):
+            a, b, x = (math.exp(rng.uniform(lo, hi)) for _ in "abx")
+            try:
+                one = barnes_zeta_prime0(BarnesArgs(a, b, x))
+                other = barnes_zeta_prime0(BarnesArgs(b, a, x))
+            except QuadratureError:
+                raised += 1
+                continue
+            assert abs(one.value - other.value) <= one.abs_err + other.abs_err, (a, b, x)
+        assert raised == 17
+
     def test_one_pass_of_three_panels(self, count_evals):
         # on [0.01, 100] the G12/K25 estimate meets abs_tol on the seed
         # panels [0, 1], [1, 3], [3, y_end]: 75 evaluations, no bisection
@@ -464,14 +506,16 @@ class TestBarnes:
 
     def test_overflow_names_every_parameter(self):
         # a = 1e308 summed to -inf with abs_err inf; at (1, 1, 1e200) and
-        # (1e-5, 1, 1e150), p = x/a is too large for zeta(-1, p); at the last
-        # four, x/a or b/a is 0 or inf
+        # (1e-5, 1, 1e150), p = x/a is too large for zeta(-1, p), and at
+        # (1e-3, 1, 1e303) for log Gamma(p) as well; at the last four, x/a
+        # or b/a is 0 or inf
         for a, b, x in (
             (1e307, 1.0, 1.0),
             (1e308, 1.0, 1.0),
             (1.7e308, 1.0, 1.0),
             (1.0, 1.0, 1e200),
             (1e-5, 1.0, 1e150),
+            (1e-3, 1.0, 1e303),
             (1e-300, 1.0, 1e300),
             (1e300, 1.0, 1e-300),
             (1e-300, 1e300, 1.0),
@@ -523,8 +567,39 @@ class TestValidation:
             fn(*bad_args)
         assert str(exc.value).startswith(name + " "), str(exc.value)
 
+    # (entry point, arguments, the parameters the error names) where the
+    # value of an accepted input would overflow
+    BEYOND_FLOAT_RANGE = [
+        (log_gamma, (2.7e305,), ("x",)),
+        (log_gamma, (1e306,), ("x",)),
+        (log_gamma, (1.7e308,), ("x",)),
+        (im_log_gamma, (1.0, 1e306), ("p", "q")),
+        (im_log_gamma, (1.0, -1e306), ("p", "q")),
+        (im_log_gamma, (1.7e308, 1.7e308), ("p", "q")),
+        (digamma, (5e-324,), ("x",)),
+        (digamma, (5.5e-309,), ("x",)),
+        (D.annulus_ratio_closed_form, (1e308, 2.0), ("a", "K")),
+        (D.annulus_ratio_closed_form, (1.7e308, 1.5), ("a", "K")),
+        (D.annulus_ratio_closed_form, (1e308, 1e300), ("a", "K")),
+    ]
+
+    @pytest.mark.parametrize(
+        "fn, args, params",
+        BEYOND_FLOAT_RANGE,
+        ids=[f"{fn.__qualname__}{args}" for fn, args, _ in BEYOND_FLOAT_RANGE],
+    )
+    def test_beyond_float_range_names_the_parameters(self, fn, args, params):
+        names = " and ".join(params)
+        with pytest.raises(ValueError, match=rf"^{names} put .* beyond the float range, got ") as exc:
+            fn(*args)
+        got = ", ".join(f"{k} = {v!r}" for k, v in zip(params, args))
+        assert str(exc.value).endswith(got), str(exc.value)
+
     def test_range_edges_accepted(self):
         assert math.isfinite(log_gamma(5e-324))
+        assert math.isfinite(log_gamma(2.5e305))
+        assert math.isfinite(im_log_gamma(1.0, 2.5e305))
+        assert math.isfinite(digamma(5.7e-309))
         D.ConeGeometry(_TINY, 700.0)
         D.CurvedDiskGeometry(_TINY, math.nextafter(-1.0, 0.0))
         D.annulus_ratio_closed_form(1.0, math.nextafter(1.0, 2.0))
