@@ -1,84 +1,19 @@
 """Zeta-regularized determinants of Dirichlet Laplacians on
 constant-curvature cones, with independent numerical cross-checks."""
 
-from .determinants import (
-    ConeGeometry,
-    CurvedDiskGeometry,
-    IdentityReport,
-    annulus_ratio_closed_form,
-    curvature_from_radius,
-    fp_asymptotics_reference,
-    logdet_flat_disk,
-    logdet_hyperbolic_cone,
-    logdet_orbifold_cone,
-    logdet_poincare_cap,
-    rescale_logdet,
-    small_eta_asymptotics,
-    verify_identities,
-    zeta0_spindle,
-    zeta0_unit_disk_cone,
-    zeta_prime0_spherical_cone,
-    zeta_prime0_spindle,
-    zeta_prime0_unit_disk_cone,
-)
-from .pa_oracle import (
-    ConformalFactor,
-    PAIntegralBreakdown,
-    grad_psi_sq,
-    pa_annulus_numeric,
-    pa_disk_numeric,
-)
-from .quadrature import QuadratureError, adaptive_quadrature
-from .special_functions import (
-    BarnesArgs,
-    EvalResult,
-    barnes_zeta_prime0,
-    barnes_zeta_prime0_orbifold,
-    digamma,
-    hurwitz_zeta,
-    hurwitz_zeta_sderiv,
-    im_log_gamma,
-    log_gamma,
-    riemann_zeta_prime_minus1,
-)
+# Each module's __all__ is its list of public names; the package
+# re-exports them all.
+from .determinants import *
+from .pa_oracle import *
+from .quadrature import *
+from .special_functions import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarnesArgs",
-    "ConeGeometry",
-    "ConformalFactor",
-    "CurvedDiskGeometry",
-    "EvalResult",
-    "IdentityReport",
-    "PAIntegralBreakdown",
-    "QuadratureError",
-    "adaptive_quadrature",
-    "annulus_ratio_closed_form",
-    "barnes_zeta_prime0",
-    "barnes_zeta_prime0_orbifold",
-    "curvature_from_radius",
-    "digamma",
-    "fp_asymptotics_reference",
-    "grad_psi_sq",
-    "hurwitz_zeta",
-    "hurwitz_zeta_sderiv",
-    "im_log_gamma",
-    "log_gamma",
-    "logdet_flat_disk",
-    "logdet_hyperbolic_cone",
-    "logdet_orbifold_cone",
-    "logdet_poincare_cap",
-    "pa_annulus_numeric",
-    "pa_disk_numeric",
-    "rescale_logdet",
-    "riemann_zeta_prime_minus1",
-    "small_eta_asymptotics",
-    "verify_identities",
-    "zeta0_spindle",
-    "zeta0_unit_disk_cone",
-    "zeta_prime0_spherical_cone",
-    "zeta_prime0_spindle",
-    "zeta_prime0_unit_disk_cone",
+    *determinants.__all__,
+    *pa_oracle.__all__,
+    *quadrature.__all__,
+    *special_functions.__all__,
     "__version__",
 ]

@@ -119,13 +119,13 @@ def _parse_grid(spec: str) -> list[float]:
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) not in (3, 4):
         raise ValueError(f"grid must be start,stop,count[,log], got {spec!r}")
-    is_log = False
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ValueError(f"fourth grid field must be 'log', got {parts[3]!r}")
-        is_log = True
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    is_log = len(parts) == 4
+    if is_log and parts[3] != "log":
+        raise ValueError(f"fourth grid field must be 'log', got {parts[3]!r}")
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"grid needs numeric endpoints and an integer count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid endpoints must be finite, got {spec!r}")
     if count < 1:
@@ -138,9 +138,18 @@ def _parse_grid(spec: str) -> list[float]:
         if start <= 0.0 or stop <= 0.0:
             raise ValueError("log grids need positive endpoints")
         ratio = stop / start
-        vals = [start * ratio ** (k / (count - 1)) for k in range(count)]
+        if math.isfinite(ratio):
+            vals = [start * ratio ** (k / (count - 1)) for k in range(count)]
+        else:  # stop / start overflows: step evenly in log(x) between the ends
+            lo, hi = math.log(start), math.log(stop)
+            vals = [start, *(math.exp(lo + (hi - lo) * k / (count - 1)) for k in range(1, count - 1)), stop]
     else:
-        vals = [start + (stop - start) * k / (count - 1) for k in range(count)]
+        span = stop - start
+        # span * k must be finite for k <= count - 2 (span * 0 is nan at inf)
+        if math.isfinite(span * (count - 2)):
+            vals = [start + span * k / (count - 1) for k in range(count)]
+        else:  # weigh the endpoints instead, which cannot overflow
+            vals = [start * (1.0 - k / (count - 1)) + stop * (k / (count - 1)) for k in range(count)]
     vals[-1] = stop
     return vals
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from . import pa_oracle
 from .special_functions import (
     _ETA_MAX,
     _TINY,
@@ -358,8 +359,6 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
     identity, sorted by name.  Grid-based identities report their worst
     point.  Failures are reported, never raised."""
     tol = _real("tol", tol, 0.0, open_lo=True)
-
-    from . import pa_oracle
 
     worst: dict[str, tuple[float, float]] = {}
 

@@ -37,6 +37,11 @@ _RHO_MAX = 1.0 - 1e-15
 _DISK_ETA_MAX = 7.5
 
 
+def _dpsi(a: float, K: float, r: float) -> float:
+    # psi'(r) of ConformalFactor(a, K), unchecked
+    return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / (1.0 + K * r ** (2.0 * a))
+
+
 class ConformalFactor(_Record):
     """Radial conformal factor of the angle 2*pi*a, curvature K cone metric
     on the unit disk: e^{2 psi(r)} |dz|^2 with
@@ -50,10 +55,6 @@ class ConformalFactor(_Record):
         _set(self, "a", _real("a", a, _TINY))
         _set(self, "K", _real("K", K, -1.0, open_lo=True))
 
-    def _denominator(self, r: float) -> float:
-        # at least 1 + K >= 2^-53, since K > -1 and r <= 1
-        return 1.0 + self.K * r ** (2.0 * self.a)
-
     def _finite(self, what: str, value: float, r: float) -> float:
         if math.isfinite(value):
             return value
@@ -61,14 +62,14 @@ class ConformalFactor(_Record):
 
     def psi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
-        value = (self.a - 1.0) * math.log(r) + math.log(2.0 * self.a) - math.log(self._denominator(r))
+        a, K = self.a, self.K
+        # 1 + K r^2a >= 1 + K >= 2^-53, since K > -1 and r <= 1
+        value = (a - 1.0) * math.log(r) + math.log(2.0 * a) - math.log(1.0 + K * r ** (2.0 * a))
         return self._finite("psi", value, r)
 
     def dpsi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
-        a, K = self.a, self.K
-        value = (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / self._denominator(r)
-        return self._finite("psi'", value, r)
+        return self._finite("psi'", _dpsi(self.a, self.K, r), r)
 
 
 class PAIntegralBreakdown(_Record):
@@ -128,12 +129,10 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
             f"got {rho!r} at a = {a!r}, K = {K!r}"
         )
 
-    # ConformalFactor(a, K).dpsi(r)^2 r with the same arithmetic, less its
-    # checks: every node lies in [rho, 1], and K > 1 keeps 1 + K r^2a > 1
-    am1, two_aK, e_num, e_den = a - 1.0, 2.0 * a * K, 2.0 * a - 1.0, 2.0 * a
-
+    # psi'(r)^2 r, unchecked: every node lies in [rho, 1], and K > 1 keeps
+    # 1 + K r^2a > 1
     def integrand(r: float) -> float:
-        d = am1 / r - two_aK * r ** e_num / (1.0 + K * r ** e_den)
+        d = _dpsi(a, K, r)
         return d * d * r
 
     # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner edge

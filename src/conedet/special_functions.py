@@ -24,8 +24,6 @@ from collections.abc import Callable
 from .quadrature import _ABS_TOL, adaptive_quadrature
 
 __all__ = [
-    "EULER_GAMMA",
-    "LOG_2PI",
     "BarnesArgs",
     "EvalResult",
     "log_gamma",

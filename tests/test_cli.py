@@ -17,6 +17,7 @@ from conedet.determinants import (
     logdet_hyperbolic_cone,
     logdet_orbifold_cone,
     small_eta_asymptotics,
+    zeta_prime0_spindle,
     zeta_prime0_unit_disk_cone,
 )
 
@@ -176,20 +177,79 @@ class TestTable:
 
     def test_grid_errors(self, capsys):
         bad = [
-            ["table", "orbifold", "--grid", "w=1,4,4", "--grid", "eta=0.1,1,2", "--grid", "K=1,2,2"],
-            ["table", "orbifold", "--eta", "1"],  # no grid at all
-            ["table", "orbifold", "--grid", "K=1,2,2", "--eta", "1"],  # unknown param
-            ["table", "orbifold", "--grid", "eta=1,2"],  # malformed
-            ["table", "orbifold", "--grid", "eta=2,1,5"],  # descending
-            ["table", "orbifold", "--grid", "eta=-1,1,5,log"],  # log needs positive
-            ["table", "orbifold", "--grid", "w=1,2,2", "--grid", "w=1,2,2"],  # duplicate
-            ["table", "orbifold", "--grid", "w=1,2,5"],  # non-integer w values
-            ["table", "orbifold", "--grid", "eta=0.1,1,3", "--w", "2", "--a", "1"],
+            (
+                ["table", "orbifold", "--grid", "w=1,4,4", "--grid", "eta=0.1,1,2", "--grid", "K=1,2,2"],
+                "table takes at most two --grid axes",
+            ),
+            (["table", "orbifold", "--eta", "1"], "table requires at least one --grid"),
+            (["table", "orbifold", "--grid", "K=1,2,2", "--eta", "1"], "orbifold has no parameter 'K'"),
+            (["table", "orbifold", "--grid", "eta=1,2"], "grid must be start,stop,count[,log], got '1,2'"),
+            (
+                ["table", "orbifold", "--grid", "eta=2,1,5"],
+                "grid needs start < stop for count > 1, got '2,1,5'",
+            ),
+            (["table", "orbifold", "--grid", "eta=-1,1,5,log"], "log grids need positive endpoints"),
+            (["table", "orbifold", "--grid", "w=1,2,2", "--grid", "w=1,2,2"], "parameter 'w' gridded twice"),
+            (
+                ["table", "orbifold", "--grid", "w=1,2,5", "--eta", "1"],
+                "w must take integer values, grid produced 1.25",
+            ),
+            (
+                ["table", "orbifold", "--grid", "eta=0.1,1,3", "--w", "2", "--a", "1"],
+                "orbifold does not take --a",
+            ),
+            (
+                ["table", "orbifold", "--grid", "eta=0.1,1,3,lin", "--w", "2"],
+                "fourth grid field must be 'log', got 'lin'",
+            ),
+            (
+                ["table", "orbifold", "--grid", "eta=0.1,inf,3", "--w", "2"],
+                "grid endpoints must be finite, got '0.1,inf,3'",
+            ),
+            (["table", "orbifold", "--grid", "eta=0.1,1,0", "--w", "2"], "grid count must be >= 1, got 0"),
+            (
+                ["table", "orbifold", "--grid", "eta0.1,1,3", "--w", "2"],
+                "grid must be name=start,stop,count[,log], got 'eta0.1,1,3'",
+            ),
+            (
+                ["table", "orbifold", "--grid", "eta=0.1,1,3", "--eta", "1", "--w", "2"],
+                "--eta conflicts with its grid",
+            ),
+            (
+                ["table", "orbifold", "--grid", "w=1,2,3.5", "--eta", "1"],
+                "grid needs numeric endpoints and an integer count, got '1,2,3.5'",
+            ),
+            (
+                ["table", "orbifold", "--grid", "eta=0.1,x,3", "--w", "2"],
+                "grid needs numeric endpoints and an integer count, got '0.1,x,3'",
+            ),
+            (
+                ["asympt", "--w", "2", "--grid", "0.1,1,three"],
+                "grid needs numeric endpoints and an integer count, got '0.1,1,three'",
+            ),
         ]
-        for argv in bad:
-            rc, _, err = run(capsys, argv)
-            assert rc == 1, argv
-            assert err.startswith("error: "), argv
+        for argv, message in bad:
+            rc, out, err = run(capsys, argv)
+            assert (rc, out, err) == (1, "", f"error: {message}\n"), argv
+
+    def test_grids_whose_ratio_or_span_overflows(self):
+        # stop / start, stop - start or (stop - start) * 2 overflows here;
+        # the points had inf, and nan at start
+        assert _parse_grid("1e-300,1e300,3,log") == [1e-300, 1.0, 1e300]
+        assert _parse_grid("-1e308,1e308,3") == [-1e308, 0.0, 1e308]
+        assert _parse_grid("-1e308,1e308,2") == [-1e308, 1e308]
+        assert _parse_grid("0,1e308,4") == [0.0, 1e308 * (1 / 3), 1e308 * (2 / 3), 1e308]
+        big = "1.7976931348623157e308"
+        for spec in (f"5e-324,{big},9,log", f"1e-300,{big},4,log", f"-{big},{big},9"):
+            grid = _parse_grid(spec)
+            assert all(math.isfinite(v) for v in grid) and grid == sorted(set(grid)), spec
+
+    def test_overflowing_log_grid_evaluates(self, capsys):
+        rc, out, err = run(capsys, ["table", "spindle", "--grid", "K=1e-300,1e300,3,log", "--a", "1"])
+        assert (rc, err) == (0, "")
+        values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        want = [-zeta_prime0_spindle(1.0, K).value for K in (1e-300, 1.0, 1e300)]
+        assert values == want
 
 
 class TestAsympt:

@@ -263,6 +263,10 @@ class TestUnitDiskCone:
         got = zeta_prime0_unit_disk_cone(CurvedDiskGeometry(1.0, 0.0)).value
         assert abs(got + logdet_flat_disk(2.0)) <= 1e-9
 
+    def test_requires_geometry_type(self):
+        with pytest.raises(ValueError, match=r"^g must be a CurvedDiskGeometry$"):
+            zeta_prime0_unit_disk_cone((0.5, 0.0))
+
     def test_K_dependence_is_single_term(self):
         for a in (0.5, 1.0, 3.0):
             for K1, K2 in ((0.0, 1.0), (-0.5, 2.0), (5.0, -0.9)):

@@ -149,6 +149,28 @@ def test_non_finite_integrand_raises():
         adaptive_quadrature(lambda x: math.nan, (0.0, 1.0))
 
 
+def test_infinite_kronrod_node_raises_at_once():
+    # the midpoint is a Kronrod node but not a Gauss node, so only the
+    # Kronrod sum is infinite and the first error estimate is inf, not nan
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.inf if x == 0.5 else 1.0
+
+    with pytest.raises(QuadratureError, match=r"^integrand produced a non-finite value$"):
+        adaptive_quadrature(f, (0.0, 1.0))
+    assert len(calls) == 25  # one panel, never bisected
+
+
+def test_jump_at_irrational_point_runs_out_of_floats():
+    # bisection never lands on sqrt(2), so the panel holding the jump keeps
+    # an error estimate above the tolerance until its ends are adjacent floats
+    root2 = math.sqrt(2.0)
+    with pytest.raises(QuadratureError, match=r"^interval too narrow to bisect further$"):
+        adaptive_quadrature(lambda x: 1e10 if x > root2 else 0.0, (0.3, 1.7))
+
+
 @given(
     coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
     lo=st.floats(-2.0, 2.0),
