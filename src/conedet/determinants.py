@@ -33,8 +33,8 @@ from .special_functions import (
     LOG_2PI,
     BarnesArgs,
     EvalResult,
-    _beyond_float_range,
     _checked_w,
+    _finite,
     _fsum_result,
     _orbifold_gamma_sum,
     _real,
@@ -325,10 +325,7 @@ def rescale_logdet(logdet: float, zeta0: float, C: float) -> float:
     logdet(C^{-1} D) = logdet(D) - zeta(0, D) log C."""
     C = _real("C", C, _TINY)
     logdet, zeta0 = _real("logdet", logdet), _real("zeta0", zeta0)
-    result = logdet - zeta0 * math.log(C)
-    if not math.isfinite(result):
-        raise _beyond_float_range("logdet - zeta0 log C", logdet=logdet, zeta0=zeta0, C=C)
-    return result
+    return _finite(logdet - zeta0 * math.log(C), "logdet - zeta0 log C", logdet=logdet, zeta0=zeta0, C=C)
 
 
 def annulus_ratio_closed_form(a: float, K: float) -> float:
@@ -338,9 +335,7 @@ def annulus_ratio_closed_form(a: float, K: float) -> float:
     a = _real("a", a, _TINY)
     K = _real("K", K, 1.0, open_lo=True)
     value = 2.0 * a / 3.0 - 4.0 / 3.0 * a / (K + 1.0) - (a - 1.0 / a) / 12.0 * math.log(K)
-    if math.isfinite(value):
-        return value
-    raise _beyond_float_range("the annulus ratio", a=a, K=K)
+    return _finite(value, "the annulus ratio", a=a, K=K)
 
 
 # Identities whose meaningful scale is fixed by the mathematics rather than

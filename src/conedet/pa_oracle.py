@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .quadrature import adaptive_quadrature
-from .special_functions import _TINY, _beyond_float_range, _real, _Record, _set
+from .special_functions import _TINY, _finite, _real, _Record, _set
 
 __all__ = [
     "ConformalFactor",
@@ -27,8 +27,14 @@ __all__ = [
     "pa_disk_numeric",
 ]
 
-# Inner radii of the annulus that the area quadrature handles.
-_RHO_MIN = 1e-150
+# The box where the annulus oracle's quadrature meets its budget, each edge
+# short of its first failure: below an inner radius of about 3e-122 the spike
+# at the inner edge defeats the bisection (estimate 22 at (1, 1e300)); from
+# a = 1259 up the estimate ends just over 1e-12; above K = 1e300, K r^2a
+# overflows psi'.  Above 1 - 1e-15 the breakpoints round together.
+_A_MAX = 1e3
+_K_MAX = 1e300
+_RHO_MIN = 1e-100
 _RHO_MAX = 1.0 - 1e-15
 
 # Largest radius of the disk oracle.  Its area integral grows like e^eta,
@@ -55,21 +61,16 @@ class ConformalFactor(_Record):
         _set(self, "a", _real("a", a, _TINY))
         _set(self, "K", _real("K", K, -1.0, open_lo=True))
 
-    def _finite(self, what: str, value: float, r: float) -> float:
-        if math.isfinite(value):
-            return value
-        raise _beyond_float_range(what, a=self.a, K=self.K, r=r)
-
     def psi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
         a, K = self.a, self.K
         # 1 + K r^2a >= 1 + K >= 2^-53, since K > -1 and r <= 1
         value = (a - 1.0) * math.log(r) + math.log(2.0 * a) - math.log(1.0 + K * r ** (2.0 * a))
-        return self._finite("psi", value, r)
+        return _finite(value, "psi", a=a, K=K, r=r)
 
     def dpsi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
-        return self._finite("psi'", _dpsi(self.a, self.K, r), r)
+        return _finite(_dpsi(self.a, self.K, r), "psi'", a=self.a, K=self.K, r=r)
 
 
 class PAIntegralBreakdown(_Record):
@@ -95,7 +96,7 @@ def grad_psi_sq(a: float, K: float, r: float) -> float:
     """|grad psi|^2 = psi'(r)^2 for the radial cone conformal factor."""
     cf = ConformalFactor(a, K)
     d = cf.dpsi(r)
-    return cf._finite("|grad psi|^2", d * d, r)
+    return _finite(d * d, "|grad psi|^2", a=cf.a, K=cf.K, r=r)
 
 
 def _area_term_closed_form(a: float, K: float) -> float:
@@ -114,18 +115,17 @@ def _area_term_closed_form(a: float, K: float) -> float:
 def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
     """Anomaly functional for the cone-metric annulus K^(-1/2a) <= |z| <= 1
     with the area term done by quadrature.  Needs K > 1 so the inner circle
-    sits strictly inside the disk, and an inner radius in [1e-150, 1 - 1e-15]
-    so the quadrature stays finite and its breakpoints distinct.  The total
-    equals annulus_ratio_closed_form(a, K) up to quadrature error."""
-    a = _real("a", a, _TINY)
-    K = _real("K", K, 1.0, open_lo=True)
+    sits strictly inside the disk, and a <= 1000, K <= 1e300 and an inner
+    radius in [1e-100, 1 - 1e-15], the box where the quadrature meets its
+    budget.  The total equals annulus_ratio_closed_form(a, K) up to
+    quadrature error."""
+    a = _real("a", a, _TINY, _A_MAX)
+    K = _real("K", K, 1.0, _K_MAX, open_lo=True)
 
     rho = K ** (-1.0 / (2.0 * a))
-    # below 1e-150 psi'(r)^2 overflows near r = rho; above 1 - 1e-15 the
-    # breakpoints round together
     if not _RHO_MIN <= rho <= _RHO_MAX:
         raise ValueError(
-            "a and K must put the inner radius K^(-1/(2a)) in [1e-150, 1 - 1e-15], "
+            "a and K must put the inner radius K^(-1/(2a)) in [1e-100, 1 - 1e-15], "
             f"got {rho!r} at a = {a!r}, K = {K!r}"
         )
 

@@ -237,17 +237,20 @@ def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params:
         abs_err = err + 2e-14 * (1.0 + math.fsum(abs(t) for t in terms))
     except (OverflowError, ValueError):  # fsum overflowed or met inf - inf
         value = abs_err = math.nan
-    if math.isfinite(value) and math.isfinite(abs_err):
-        return EvalResult(value, abs_err, tag)
-    raise _beyond_float_range(f"the {tag} result", **params)
+    _finite(abs_err + 0.0 * value, f"the {tag} result", **params)  # finite iff both are, as abs_err >= 0
+    return EvalResult(value, abs_err, tag)
 
 
-def _beyond_float_range(what: str, **params: float) -> ValueError:
-    """The ValueError saying that params, the inputs, put what beyond the float range."""
+def _finite(value: float, what: str, /, **params: float) -> float:
+    """value if it is finite.  Otherwise a ValueError saying that params,
+    the inputs, put what beyond the float range; the one place that
+    decides a result left the float range."""
+    if math.isfinite(value):
+        return value
     *init, last = params
     names = f"{', '.join(init)} and {last}" if init else last
     got = ", ".join(f"{k} = {v!r}" for k, v in params.items())
-    return ValueError(f"{names} put {what} beyond the float range, got {got}")
+    raise ValueError(f"{names} put {what} beyond the float range, got {got}")
 
 
 def _stirling_real(x: float) -> float:
@@ -271,34 +274,26 @@ def log_gamma(x: float) -> float:
         shift += math.log(y)
         y += 1.0
     value = _stirling_real(y) - shift
-    if value < math.inf:
+    if value < math.inf:  # the inline test spares the hot path a call
         return value
-    raise _beyond_float_range("log Gamma", x=x)
+    return _finite(value, "log Gamma", x=x)
 
 
 def im_log_gamma(p: float, q: float) -> float:
     """Imaginary part of the principal log Gamma(p + i q), p > 0.
 
-    Odd in q by construction: the q < 0 branch returns the negated
-    reflection, so im_log_gamma(p, -q) == -im_log_gamma(p, q) exactly.
-    Raises a ValueError naming p and q where the value overflows, for |q|
-    from about 2.6e305 up.
+    Odd in q: atan2 is odd in its first argument, and complex arithmetic
+    on conjugates gives conjugates exactly, so im_log_gamma(p, -q) ==
+    -im_log_gamma(p, q).  Raises a ValueError naming p and q where the
+    value overflows, for |q| from about 2.6e305 up.
     """
     p = _real("p", p, 0.0, open_lo=True)
     q = _real("q", q)
-    value = _im_log_gamma(p, q)
-    if math.isfinite(value):
-        return value
-    raise _beyond_float_range("Im log Gamma", p=p, q=q)
+    return _finite(_im_log_gamma(p, q), "Im log Gamma", p=p, q=q)
 
 
 def _im_log_gamma(p: float, q: float) -> float:
     # the body of im_log_gamma, for floats the caller has already checked
-    if q == 0.0:
-        return 0.0
-    if q < 0.0:
-        return -_im_log_gamma(p, -q)
-
     acc = 0.0
     while p < _STIRLING_EDGE:
         acc += math.atan2(q, p)
@@ -320,20 +315,19 @@ def digamma(x: float) -> float:
     """Logarithmic derivative of Gamma at x > 0.  Raises a ValueError naming
     x where 1/x overflows, below about x = 5.6e-309."""
     x = _real("x", x, 0.0, open_lo=True)
-    if not 1.0 / x < math.inf:
-        raise _beyond_float_range("digamma", x=x)
     acc = 0.0
-    while x < 12.0:
-        acc += 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
+    y = x
+    while y < 12.0:
+        acc += 1.0 / y
+        y += 1.0
+    inv = 1.0 / y
     inv2 = inv * inv
     series = 0.0
     p = inv2
     for c in _DIGAMMA:
         series += c * p
         p *= inv2
-    return math.log(x) - 0.5 * inv - series - acc
+    return _finite(math.log(y) - 0.5 * inv - series - acc, "digamma", x=x)
 
 
 def _zeta_sderiv_minus1(x: float) -> float:
@@ -388,9 +382,7 @@ def _hurwitz(s: float, x: float, sderiv: bool) -> float:
             value = _zeta_sderiv_minus1(x) if sderiv else x ** 2.0 / -2.0 + 0.5 * x - 1.0 / 12.0
     except (OverflowError, ValueError):  # x ** 2.0 or log_gamma(x) overflowed
         value = math.inf
-    if math.isfinite(value):
-        return value
-    raise _beyond_float_range("the Hurwitz zeta", s=s, x=x)
+    return _finite(value, "the Hurwitz zeta", s=s, x=x)
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
@@ -451,8 +443,8 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
         raise ValueError("args must be a BarnesArgs")
     a, b, x = args.a, args.b, args.x
     p = x / a
-    if not (0.0 < p < math.inf and 0.0 < b / a < math.inf):
-        raise _beyond_float_range("the barnes-integral result", a=a, b=b, x=x)
+    if not (0.0 < p < math.inf and 0.0 < b / a < math.inf):  # x/a or b/a left the float range
+        return _fsum_result((math.nan,), "barnes-integral", a=a, b=b, x=x)
 
     y_end = min(_Y_MAX, _truncation_point(a, b, x))
     seeds = [t for t in (0.0, 1.0, 3.0, 8.0, 16.0, 32.0) if t < y_end]
@@ -464,8 +456,8 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
         zh_m1 = hurwitz_zeta(-1.0, p)
         dzh_m1 = hurwitz_zeta_sderiv(-1.0, p)
         lg = log_gamma(p)
-    except ValueError:  # p^2 or log Gamma(p) overflows
-        raise _beyond_float_range("the barnes-integral result", a=a, b=b, x=x) from None
+    except ValueError:  # p^2 or log Gamma(p) overflows; the nan sum raises below
+        zh_m1 = dzh_m1 = lg = math.nan
     terms = (
         (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - (b / a) / 12.0) * math.log(a),
         0.5 * lg,

@@ -227,6 +227,21 @@ class TestTable:
                 ["asympt", "--w", "2", "--grid", "0.1,1,three"],
                 "grid needs numeric endpoints and an integer count, got '0.1,1,three'",
             ),
+            # refused from the counts, before any point is built; the first two
+            # built their lists until memory ran out
+            (
+                ["table", "hyperbolic", "--grid", "a=1,2,1000000000000", "--eta", "1"],
+                "grid count must be <= 100000, got 1000000000000",
+            ),
+            (
+                ["table", "hyperbolic", "--grid", "a=1,2,100000", "--grid", "eta=1,2,100000"],
+                "table grids must have at most 100000 points together, got 100000 x 100000",
+            ),
+            (
+                ["table", "orbifold", "--grid", "w=1,200,200", "--grid", "eta=0.1,1,501"],
+                "table grids must have at most 100000 points together, got 200 x 501",
+            ),
+            (["asympt", "--w", "2", "--grid", "0.1,1,100001"], "grid count must be <= 100000, got 100001"),
         ]
         for argv, message in bad:
             rc, out, err = run(capsys, argv)

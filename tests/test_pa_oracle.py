@@ -144,10 +144,51 @@ class TestAnnulusOracle:
             pa_annulus_numeric(0.0, 2.0)
 
     def test_inner_radius_out_of_reach_names_a_and_K(self):
-        # K^(-1/2a) underflows, overflows psi'(r)^2, or rounds to 1
-        for a, K in ((1e-3, 10.0), (0.01, 1e300), (0.5, 1e300), (10.0, 1.0 + 1e-15)):
+        # K^(-1/2a) underflows, overflows psi'(r)^2, or rounds to 1; at the
+        # last three the quadrature raised QuadratureError, its estimate
+        # stuck at 22, 10.9 and 14.8
+        for a, K in (
+            (1e-3, 10.0),
+            (0.01, 1e300),
+            (0.5, 1e300),
+            (10.0, 1.0 + 1e-15),
+            (1.0, 1e300),
+            (0.3981071705534972, 1e113),
+            (0.001995262314968879, 3.1622776601683795),
+        ):
             with pytest.raises(ValueError, match=r"^a and K must put the inner radius"):
                 pa_annulus_numeric(a, K)
+
+    @pytest.mark.parametrize(
+        "a, K, prefix",
+        [
+            # the error estimate ended at 1.0e-12 to 1.2e-12
+            (3981.0717055349733, 3.1622776601683794e78, "a must be finite and in [1e-300, 1000]"),
+            (1e4, 3.1622776601683794e21, "a must be finite and in [1e-300, 1000]"),
+            # K r^2a overflowed in psi', a non-finite integrand
+            (1.7782794100389228, 1e308, "K must be finite and in (1, 1e+300]"),
+            (1.2589254117941673, 1e305, "K must be finite and in (1, 1e+300]"),
+        ],
+    )
+    def test_a_or_K_outside_the_box_is_named(self, a, K, prefix):
+        # each raised QuadratureError
+        with pytest.raises(ValueError) as exc:
+            pa_annulus_numeric(a, K)
+        assert str(exc.value).startswith(prefix), str(exc.value)
+
+    def test_box_edges_meet_the_budget(self):
+        # the first three put the inner radius at 1e-100
+        for a, K in (
+            (1.0, 1e200),
+            (0.5, 1e100),
+            (0.01, 100.0),
+            (1e3, 1e300),
+            (1e3, 2.0),
+            (1e-15, 1.0 + 1e-15),
+            (500.0, 1e300),
+        ):
+            got = pa_annulus_numeric(a, K)
+            assert abs(got.total - annulus_ratio_closed_form(a, K)) <= 1e-10, (a, K)
 
     def test_integrand_is_dpsi_squared_times_r(self, monkeypatch):
         # the integrand skips the checks of ConformalFactor.dpsi but keeps
