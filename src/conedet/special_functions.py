@@ -3,7 +3,8 @@
 Everything here is self-contained double-precision scalar code:
 
 * log-gamma (real, and the imaginary part along vertical lines) from the
-  Stirling series after shifting the argument to Re z >= 10,
+  Stirling series after shifting the argument to Re z >= 10; the real
+  series is Binet's function mu(z), the complex one is summed by Horner,
 * digamma the same way,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
   Barnes term needs: the values are Bernoulli polynomials, the derivative
@@ -11,7 +12,9 @@ Everything here is self-contained double-precision scalar code:
   series in x after unit shifts in x, or an asymptotic series for large x,
 * the derivative at 0 of the two-variable Barnes zeta
   sum_{m,n>=0} (a m + b n + x)^(-s), evaluated through an integral
-  representation whose integrand decays like exp(-2 pi y).
+  representation whose integrand decays like exp(-2 pi y); the unit
+  shifts that log-gamma would make at every node are integrated in closed
+  form instead, as Binet's function, by Binet's second formula.
 
 All functions are pure and thread-safe.
 """
@@ -253,15 +256,25 @@ def _finite(value: float, what: str, /, **params: float) -> float:
     raise ValueError(f"{names} put {what} beyond the float range, got {got}")
 
 
-def _stirling_real(x: float) -> float:
-    inv = 1.0 / x
+def _binet(z: float) -> float:
+    """Binet's function mu(z) = log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2
+    for z > 0, the Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) after
+    the unit shifts mu(z) = mu(z + 1) + (z + 1/2) log(1 + 1/z) - 1 bring z
+    to _STIRLING_EDGE or above.  Below z = 1, log(1 + 1/z) is taken as
+    log(1 + z) - log z, which stays finite for subnormal z."""
+    shift = 0.0
+    while z < _STIRLING_EDGE:
+        log_ratio = math.log1p(1.0 / z) if z >= 1.0 else math.log1p(z) - math.log(z)
+        shift += (z + 0.5) * log_ratio - 1.0
+        z += 1.0
+    inv = 1.0 / z
     inv2 = inv * inv
     series = 0.0
     p = inv
     for c in _STIRLING:
         series += c * p
         p *= inv2
-    return (x - 0.5) * math.log(x) - x + 0.5 * LOG_2PI + series
+    return series + shift
 
 
 def log_gamma(x: float) -> float:
@@ -273,7 +286,7 @@ def log_gamma(x: float) -> float:
     while y < _STIRLING_EDGE:
         shift += math.log(y)
         y += 1.0
-    value = _stirling_real(y) - shift
+    value = (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _binet(y) - shift
     if value < math.inf:  # the inline test spares the hot path a call
         return value
     return _finite(value, "log Gamma", x=x)
@@ -298,17 +311,21 @@ def _im_log_gamma(p: float, q: float) -> float:
     while p < _STIRLING_EDGE:
         acc += math.atan2(q, p)
         p += 1.0
-    arg = math.atan2(q, p)
-    im = (p - 0.5) * arg + q * math.log(math.hypot(p, q)) - q
-    z = complex(p, q)
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = 0j
-    w = inv
-    for c in _STIRLING:
-        series += c * w
-        w *= inv2
-    return im + series.imag - acc
+    return _im_stirling(p, q) - acc
+
+
+def _im_stirling(p: float, q: float) -> float:
+    """Im log Gamma(p + i q) for p >= _STIRLING_EDGE from the Stirling
+    series, summed by Horner in 1/z^2; the one owner of the complex series."""
+    # unrolled: a loop over _STIRLING costs about 8% more per call, and the
+    # Barnes quadrature makes 75 calls
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _STIRLING
+    inv = 1.0 / complex(p, q)
+    u = inv * inv
+    series = inv * (
+        c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * (c8 + u * (c9 + u * c10))))))))
+    )
+    return (p - 0.5) * math.atan2(q, p) + q * math.log(math.hypot(p, q)) - q + series.imag
 
 
 def digamma(x: float) -> float:
@@ -404,22 +421,20 @@ def riemann_zeta_prime_minus1() -> float:
     return _ZETA_PRIME_MINUS_ONE
 
 
-def _barnes_integrand(a: float, b: float, x: float) -> Callable[[float], float]:
-    p = x / a
-    scale = b / a
+def _barnes_integrand(p: float, scale: float) -> Callable[[float], float]:
+    # for p >= _STIRLING_EDGE, where Im log Gamma needs no unit shifts
     two_pi = 2.0 * math.pi
 
     def f(y: float) -> float:
-        return -2.0 * _im_log_gamma(p, scale * y) / math.expm1(two_pi * y)
+        return -2.0 * _im_stirling(p, scale * y) / math.expm1(two_pi * y)
 
     return f
 
 
-def _truncation_point(a: float, b: float, x: float) -> float:
-    """Smallest Y such that a crude bound on the integrand times exp(-2 pi Y)
-    is below _ABS_TOL / 10, found by a short fixed-point iteration."""
-    p = x / a
-    scale = b / a
+def _truncation_point(p: float, scale: float) -> float:
+    """Smallest Y such that a crude bound on the integrand at (p, scale)
+    times exp(-2 pi Y) is below _ABS_TOL / 10, found by a short fixed-point
+    iteration."""
     log_target = math.log(_ABS_TOL) - math.log(10.0)
     y = 1.0
     for _ in range(4):
@@ -432,24 +447,43 @@ def _truncation_point(a: float, b: float, x: float) -> float:
 def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     """d/ds at s=0 of the double zeta sum_{m,n>=0} (a m + b n + x)^(-s).
 
-    Closed Hurwitz/log-gamma terms plus one exponentially damped integral
-    over [0, y_max]; y_max is the decay-bound estimate, capped at 60.  The
-    cap binds only where x/a is above about 7e140 or b/a above about 1e137;
-    at (1, 1, 1e150) the bound is 63.5 and the capped integral still meets
-    its bar.  Raises a ValueError naming a, b and x when x/a or b/a is 0 or
-    the value is beyond the float range.
+    With p = x/a and s = b/a, closed Hurwitz/log-gamma terms at p plus
+        int_0^inf -2 Im log Gamma(p + i s y) / (e^(2 pi y) - 1) dy.
+    The n unit shifts that bring P = p + n to _STIRLING_EDGE or above split
+    Im log Gamma(p + i s y) into Im log Gamma(P + i s y) minus
+    sum_{k<n} arctan(s y / (p + k)), and Binet's second formula integrates
+    each arctan exactly: int_0^inf 2 arctan(y/z) / (e^(2 pi y) - 1) dy is
+    Binet's function mu(z), here at z = (p + k)/s.  So no quadrature node
+    makes a unit shift, and the spike of width x/b next to y = 0, which the
+    k = 0 term carries, never reaches the quadrature.  The remaining
+    integral runs over [0, y_max]; y_max is the decay-bound estimate at P,
+    capped at 60.  The cap binds only where x/a is above about 7e140 or b/a
+    above about 1e137; at (1, 1, 1e150) the bound is 63.5 and the capped
+    integral still meets its bar.  Raises a ValueError naming a, b and x
+    when x/a or b/a is 0 or the value is beyond the float range.
     """
     if not isinstance(args, BarnesArgs):
         raise ValueError("args must be a BarnesArgs")
     a, b, x = args.a, args.b, args.x
     p = x / a
-    if not (0.0 < p < math.inf and 0.0 < b / a < math.inf):  # x/a or b/a left the float range
+    scale = b / a
+    if not (0.0 < p < math.inf and 0.0 < scale < math.inf):  # x/a or b/a left the float range
         return _fsum_result((math.nan,), "barnes-integral", a=a, b=b, x=x)
 
-    y_end = min(_Y_MAX, _truncation_point(a, b, x))
+    # mu((p + k)/s) for each unit shift; where the quotient is below 1e-20,
+    # mu(z) = -log(z)/2 - log(2 pi)/2 to double precision, with log z taken
+    # from logs, as the quotient may underflow
+    peeled = []
+    p_shifted = p
+    while p_shifted < _STIRLING_EDGE:
+        z = p_shifted / scale
+        peeled.append(_binet(z) if z >= 1e-20 else -0.5 * (math.log(p_shifted) - math.log(scale) + LOG_2PI))
+        p_shifted += 1.0
+
+    y_end = min(_Y_MAX, _truncation_point(p_shifted, scale))
     seeds = [t for t in (0.0, 1.0, 3.0, 8.0, 16.0, 32.0) if t < y_end]
     seeds.append(y_end)
-    integral, quad_err = adaptive_quadrature(_barnes_integrand(a, b, x), seeds)
+    integral, quad_err = adaptive_quadrature(_barnes_integrand(p_shifted, scale), seeds)
 
     r = a / b
     try:
@@ -459,12 +493,14 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     except ValueError:  # p^2 or log Gamma(p) overflows; the nan sum raises below
         zh_m1 = dzh_m1 = lg = math.nan
     terms = (
-        (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - (b / a) / 12.0) * math.log(a),
+        (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - scale / 12.0) * math.log(a),
         0.5 * lg,
         -0.25 * LOG_2PI,
         -r * zh_m1,
         -r * dzh_m1,
-        integral,
+        # one term of the rounding floor: the quadrature and the Binet terms
+        # can cancel, and each is accurate far below the floor
+        math.fsum((integral, *peeled)),
     )
     return _fsum_result(terms, "barnes-integral", quad_err + _ABS_TOL / 10.0, a=a, b=b, x=x)
 

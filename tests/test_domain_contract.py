@@ -39,8 +39,8 @@ def small_angle(a, *_):
 
 
 def barnes_edge(a, b, x):
-    # tiny x/b, large b/a, or b/a below the normal floats
-    return x / b < 1e-5 or not sys.float_info.min <= b / a <= 1e7
+    # large b/a, or b/a below the normal floats
+    return not sys.float_info.min <= b / a <= 1e7
 
 
 # the functions that take a record, called with its fields

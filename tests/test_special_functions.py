@@ -339,6 +339,36 @@ class TestRiemannZetaPrimeMinus1:
         assert abs(res.value - riemann_zeta_prime_minus1()) <= res.abs_err + 1e-12
 
 
+def _mp_binet(z):
+    # mu(z) = log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2 at enough digits
+    # to survive the cancellation, about log10(z) of them
+    with mpmath.workdps(30 + max(0, int(math.log10(z)))):
+        z = mpmath.mpf(z)
+        return mpmath.loggamma(z) - (z - 0.5) * mpmath.log(z) + z - mpmath.log(2 * mpmath.pi) / 2
+
+
+class TestBinet:
+    def test_against_mpmath(self):
+        # every decade from 1e-300 to 1e300 in steps of 0.35, the subnormals,
+        # where 1/z would overflow, and (0, 12] around the shift edge at 10
+        # and the log-ratio switch at 1
+        zs = [10.0 ** (k / 20.0) for k in range(-6000, 6001, 7)]
+        zs += [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, math.nextafter(1.0, 0.0), 1.0]
+        zs += [math.nextafter(10.0, 0.0), 10.0, *(k / 20.0 for k in range(1, 241))]
+        for z in zs:
+            want = _mp_binet(z)
+            assert abs(SF._binet(z) - want) <= 1e-15 * (1.0 + abs(want)), z
+
+    @pytest.mark.parametrize("z", [0.01, 1.0, 7.5, 1e3])
+    def test_second_formula(self, z):
+        # mu(z) = int_0^inf 2 arctan(t/z) / (e^(2 pi t) - 1) dt, the integral
+        # barnes_zeta_prime0 takes in closed form for each unit shift
+        mpmath.mp.dps = 30
+        f = lambda t: 2 * mpmath.atan(t / z) / mpmath.expm1(2 * mpmath.pi * t)
+        want = mpmath.quad(f, [0, min(z, 1.0), 1, 10, mpmath.inf])
+        assert abs(SF._binet(z) - want) <= 1e-15 * (1.0 + abs(want))
+
+
 class TestBarnes:
     def test_bridge_against_orbifold_closed_form(self):
         for w in range(1, 13):
@@ -375,14 +405,14 @@ class TestBarnes:
                     assert abs(lhs - rhs) <= 1e-11, (a, b, x)
 
     def test_integrand_tends_to_its_endpoint_limit(self):
-        # -2 Im log Gamma(p + i s y) / expm1(2 pi y) = -(s/pi) psi(p) (1 - pi y + O(y^2))
-        # with p = x/a and s = b/a, so the one formula needs no substitute
-        # near y = 0, where no quadrature node falls
-        for a, b, x in ((1.0, 1.0, 1.0), (0.2, 1.0, 1.0), (3.0, 2.0, 0.7)):
-            f = _barnes_integrand(a, b, x)
-            limit = -(b / (a * math.pi)) * digamma(x / a)
+        # -2 Im log Gamma(P + i s y) / expm1(2 pi y) = -(s/pi) psi(P) (1 - pi y + O(y^2))
+        # at P >= 10, after the unit shifts, so the one formula needs no
+        # substitute near y = 0, where no quadrature node falls
+        for big_p, s in ((10.0, 1.0), (10.0, 5.0), (12.5, 0.2), (1e3, 1e7), (1e150, 1e-3)):
+            f = _barnes_integrand(big_p, s)
+            limit = -(s / math.pi) * digamma(big_p)
             for y in (1e-6, 1e-12, 1e-100):
-                assert abs(f(y) - limit) <= (4.0 * y + 1e-14) * abs(limit), (a, b, x, y)
+                assert abs(f(y) - limit) <= (4.0 * y + 1e-14) * abs(limit), (big_p, s, y)
 
     def test_result_metadata(self):
         res = barnes_zeta_prime0(BarnesArgs(0.5, 1.0, 1.0))
@@ -438,18 +468,39 @@ class TestBarnes:
         res = barnes_zeta_prime0(BarnesArgs(*a) if isinstance(a, tuple) else BarnesArgs(a, 1.0, 1.0))
         assert abs(mpmath.mpf(res.value) - mpmath.mpf(want)) <= res.abs_err
 
-    @pytest.mark.parametrize("x", [1e-8, 1e-9, 1e-10, 1e-12, 1e-20, 1e-50])
-    def test_error_bar_holds_at_small_x(self, x):
-        # the integrand has a spike of width about x/b next to y = 0; the
-        # reference is the exact form at equal periods a = b, with u = x/b,
+    @pytest.mark.parametrize("x", [1e-8, 1e-9, 1e-10, 1e-12, 1e-20, 1e-50, 1e-100, 1e-125, 1e-150, 1e-200, 1e-300])
+    def test_error_bar_holds_at_small_x(self, x, count_evals):
+        # the k = 0 Binet term carries the spike of width about x/b next to
+        # y = 0, so the quadrature never sees it and takes one pass of three
+        # panels however small x is; the reference is the exact form at
+        # equal periods a = b, with u = x/b,
         # zeta_B'(0; b, b, x) = zeta'(-1, u) + (1 - u)(log Gamma(u) - log(2 pi)/2)
         #                       - log b (zeta(-1, u) + (1 - u) zeta(0, u)),
         # whose last term vanishes at b = 1
         mpmath.mp.dps = 30
+        calls = count_evals(SF)
         res = barnes_zeta_prime0(BarnesArgs(1.0, 1.0, x))
         u = mpmath.mpf(x)
         want = mpmath.zeta(-1, u, 1) + (1 - u) * (mpmath.loggamma(u) - mpmath.log(2 * mpmath.pi) / 2)
         assert abs(mpmath.mpf(res.value) - want) <= res.abs_err
+        assert calls == [75]
+
+    # (a, b, x) where the Binet argument x/b underflows, to 0 at the first
+    # two and to a subnormal at the third, with the value and bar that the
+    # quadrature of the unshifted integrand gives there
+    UNDERFLOWING_QUOTIENT = [
+        ((2.97e-103, 3.17e125, 1.02e-199), -2.543754354450433e229, 1.3486682075922227e216),
+        ((0.575403473839383, 2.1744171743841303e269, 8.964712227134009e-278), -1.9435959351995034e271, 3.894153815439133e257),
+        ((7.837445266931883e-93, 1.2354484910019829e96, 1.1924430438172961e-219), -2.867292352293083e189, 1.6878342593043867e176),
+    ]
+
+    @pytest.mark.parametrize("args, before, before_err", UNDERFLOWING_QUOTIENT)
+    def test_binet_term_survives_an_underflowing_argument(self, args, before, before_err):
+        # below 1e-20, mu((p + k)/s) comes from -log(z)/2 - log(2 pi)/2 with
+        # log z taken from logs; _binet of the underflowed quotient, 0.0,
+        # would divide by 0
+        res = barnes_zeta_prime0(BarnesArgs(*args))
+        assert abs(res.value - before) <= res.abs_err + before_err
 
     def test_symmetric_in_a_and_b(self):
         # zeta_B is symmetric in its two periods, so both orientations of a
@@ -479,6 +530,22 @@ class TestBarnes:
             barnes_zeta_prime0(BarnesArgs(10.0 ** (-2.0 + k / 10.0), 1.0, 1.0))
         assert calls == [75] * 41
 
+    def test_tail_beyond_the_cut_is_within_its_allowance(self):
+        # the integrand at P >= 10, the only one cut off, beyond
+        # min(_Y_MAX, the decay bound): its whole tail from there is at most
+        # the _ABS_TOL / 10 the bar allows, also where the cap binds
+        mpmath.mp.dps = 30
+        binding = 0
+        for big_p in (10.0, 1e3, 1e100, 7e140, 1e150, 1e200, 1e300, 1.7e308):
+            for s in (1e-300, 1e-3, 1.0, 1e4, 1e7):
+                y_end = SF._truncation_point(big_p, s)
+                binding += y_end >= SF._Y_MAX
+                y_end = min(SF._Y_MAX, y_end)
+                f = lambda y: -2 * mpmath.im(mpmath.loggamma(mpmath.mpc(big_p, s * y))) / mpmath.expm1(2 * mpmath.pi * y)
+                tail = mpmath.quad(f, [y_end, y_end + 1, y_end + 10, mpmath.inf])
+                assert abs(tail) <= SF._ABS_TOL / 10.0, (big_p, s, y_end, tail)
+        assert binding >= 10
+
     def test_quadrature_failure_surfaces(self):
         with pytest.raises(QuadratureError):
             barnes_zeta_prime0(BarnesArgs(1e-250, 1.0, 1.0))
@@ -497,7 +564,7 @@ class TestBarnes:
         binding = 0
         for e in exponents:
             a = 10.0**e
-            if SF._truncation_point(a, 1.0, 1.0) < SF._Y_MAX:
+            if SF._truncation_point(1.0 / a, 1.0 / a) < SF._Y_MAX:
                 continue
             binding += 1
             with pytest.raises(QuadratureError):
