@@ -33,6 +33,7 @@ from .special_functions import (
     LOG_2PI,
     BarnesArgs,
     EvalResult,
+    _barnes_a11_series,
     _checked_w,
     _finite,
     _fsum_result,
@@ -132,12 +133,16 @@ def _inv_sech_sq_half(eta: float) -> float:
 
 @lru_cache(maxsize=512)
 def _barnes_a11(a: float) -> EvalResult:
+    # the spectral series outside 1/8 < a < 8, where its truncation error is
+    # below the rounding floor, and the quadrature inside
     try:
-        return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+        if 0.125 < a < 8.0:
+            return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+        return _barnes_a11_series(a)
     except ValueError:
-        # the sum left the float range; its error names b = x = 1, which no
-        # caller takes, so hand back an infinite error bar instead and let
-        # the caller's _fsum_result name the caller's own parameters
+        # the sum left the float range; its error does not name the caller's
+        # parameters, so hand back an infinite error bar instead and let the
+        # caller's _fsum_result name them
         return EvalResult(math.nan, math.inf, "barnes-integral")
 
 
@@ -378,8 +383,13 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
         for eta in (0.1, 1.0, 3.0):
             lhs = logdet_hyperbolic_cone(ConeGeometry(1.0 / w, eta)).value
             record("orbifold-equality", lhs, logdet_orbifold_cone(w, eta).value)
-        # the quadrature route, already cached by the loop above
+        # the cached value from the loop above: the quadrature for w < 8 and
+        # the spectral series from w = 8 on, each against the closed form
         record("barnes-bridge", _barnes_a11(1.0 / w).value, barnes_zeta_prime0_orbifold(w))
+    for a in (2.0, 5.0):
+        # the reflection a <-> 1/a, between quadrature values cached above
+        reflected = _barnes_a11(1.0 / a).value - math.log(a) * ((a + 1.0 / a) / 12.0 + 0.25)
+        record("barnes-bridge", _barnes_a11(a).value, reflected)
 
     for eta in (0.2, 0.5, 1.0, 2.0, 4.0):
         lhs = logdet_hyperbolic_cone(ConeGeometry(1.0, eta)).value

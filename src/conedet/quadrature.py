@@ -26,6 +26,8 @@ class QuadratureError(RuntimeError):
 
 _ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 400
+# an error estimate below _EPS times the summed |panel values| is rounding
+_EPS = 2.0**-52
 
 
 # Kronrod-25 abscissae on [-1, 1] (positive half, center last) and weights;
@@ -93,7 +95,12 @@ def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) ->
 
     Returns (value, error_estimate).  Raises QuadratureError if the
     estimate cannot be brought below _ABS_TOL within _MAX_SUBDIVISIONS
-    bisections, or if the integrand produces non-finite values.
+    bisections, or if the integrand produces non-finite values.  The loop
+    keeps a running total of the estimates and stops when it reaches
+    _ABS_TOL, once their exact sum confirms it: that sum must be below
+    _ABS_TOL too, or below _EPS times the summed |panel values|, the
+    rounding of the value, which no bisection gets under.  The returned
+    estimate is that exact sum.
     """
     if len(points) < 2:
         raise ValueError("need at least two breakpoints")
@@ -128,6 +135,13 @@ def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) ->
         heapq.heappush(heap, (-e2, mid, hi, v2))
         total_err += e1 + e2 + neg_err
         splits += 1
+        if total_err <= _ABS_TOL:
+            # adding and subtracting estimates cancels where they are huge, so
+            # stop only if their exact sum is below abs_tol too, or below the
+            # rounding of the panel values, under which no bisection goes
+            total_err = math.fsum(-seg[0] for seg in heap)
+            if total_err <= _EPS * math.fsum(abs(seg[3]) for seg in heap):
+                break
 
     # fsum is correctly rounded, so the order of the terms does not matter
     value = math.fsum(seg[3] for seg in heap)

@@ -14,7 +14,9 @@ Everything here is self-contained double-precision scalar code:
   sum_{m,n>=0} (a m + b n + x)^(-s), evaluated through an integral
   representation whose integrand decays like exp(-2 pi y); the unit
   shifts that log-gamma would make at every node are integrated in closed
-  form instead, as Binet's function, by Binet's second formula.
+  form instead, as Binet's function, by Binet's second formula,
+* the same derivative at (a, 1, 1) without quadrature where a <= 1/8 or
+  a >= 8, from the flat-cone spectral sum and the reflection a <-> 1/a.
 
 All functions are pure and thread-safe.
 """
@@ -107,6 +109,18 @@ _ZETA_MINUS_ONE = (
     5.684341987627585e-14,
     2.842170976889302e-14,
 )
+
+# B_2k / (2k (2k-1)) * zeta(2k-1) for k = 2, ..., 10, the coefficients of the
+# small-angle Barnes series in a^(2k-1); 1 + _ZETA_MINUS_ONE[2k-3] is the
+# nearest double to zeta(2k-1) for each of these k.
+_BARNES_SERIES = tuple(c * (1.0 + _ZETA_MINUS_ONE[2 * k - 3]) for k, c in enumerate(_STIRLING[1:], 2))
+
+# Above B_22 / (22 * 21) * zeta(21) = 13.4029, the first omitted coefficient
+# of that series.
+_BARNES_SERIES_NEXT = 13.41
+
+# 1/12 - zeta_R'(-1) = log(Glaisher constant)
+_LOG_GLAISHER = 0.2487544770337842625472530
 
 # B_{2k+2} / ((2k+2)(2k+1) 2k) for k = 1, ..., 5, the coefficients of the
 # asymptotic series of zeta'(-1, x) in x^(-2k).
@@ -503,6 +517,39 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
         math.fsum((integral, *peeled)),
     )
     return _fsum_result(terms, "barnes-integral", quad_err + _ABS_TOL / 10.0, a=a, b=b, x=x)
+
+
+def _barnes_a11_series(a: float) -> EvalResult:
+    """zeta_B'(0; a, 1, 1) without quadrature, from the flat-cone spectral
+    sum (Spreafico, J. Geom. Phys. 54 (2005) 355):
+        log(A)/a + gamma a/12 - log(2 pi)/4 + S(a),
+    with A Glaisher's constant and S(a) = sum_{n>=1} R(n/a), where
+    R(nu) = mu(nu) - 1/(12 nu) is the Stirling remainder.  Summed over n,
+    each power nu^(1-2k) of its series gives zeta(2k-1) a^(2k-1), so S(a) is
+    sum_{k=2}^{10} B_2k / (2k (2k-1)) zeta(2k-1) a^(2k-1).  For real nu > 0
+    the Stirling series is enveloping (DLMF 5.11(ii)), so the error is below
+    the first omitted term, 13.41 a^21; the bar is that plus the rounding
+    floor, which it stays far below for a <= 1/8.
+
+    Above a = 1 the series is taken at 1/a, through the exact reflection
+        zeta_B'(0; a, 1, 1) = zeta_B'(0; 1/a, 1, 1) - log a ((a + 1/a)/12 + 1/4),
+    which follows from zeta_B(s; 1, a, 1) = a^-s zeta_B(s; 1/a, 1, 1)
+    + (1 - a^-s) zeta_R(s) and zeta_B(0; a, 1, 1) = (a + 1/a)/12 - 1/4.  Its
+    log(A) term is taken as log(A) a, which rounds once, not as
+    log(A) / (1/a).  Raises a ValueError naming a where the value is beyond
+    the float range."""
+    if a <= 1.0:
+        m, lead, reflection = a, _LOG_GLAISHER / a, ()
+    else:
+        m, lead = 1.0 / a, _LOG_GLAISHER * a
+        log_a = math.log(a)
+        reflection = (-log_a / 12.0 * a, -log_a / 12.0 * m, -0.25 * log_a)
+    m2 = m * m
+    series = 0.0
+    for c in reversed(_BARNES_SERIES):
+        series = series * m2 + c
+    terms = (lead, EULER_GAMMA / 12.0 * m, -0.25 * LOG_2PI, series * m2 * m, *reflection)
+    return _fsum_result(terms, "barnes-series", _BARNES_SERIES_NEXT * m**21, a=a)
 
 
 def _orbifold_gamma_sum(w: int) -> float:

@@ -1,6 +1,10 @@
+from contextlib import contextmanager
+
 import pytest
 
-from conedet.quadrature import adaptive_quadrature
+import conedet.determinants as determinants
+import conedet.special_functions as special_functions
+from conedet.quadrature import QuadratureError, adaptive_quadrature
 
 
 @pytest.fixture
@@ -23,3 +27,23 @@ def count_evals(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def quadrature_fails(monkeypatch):
+    """quadrature_fails() is a context in which every Barnes quadrature
+    raises QuadratureError.  It clears the Barnes cache first, so that the
+    next angle in (1/8, 8) reaches the quadrature.  No cone input exhausts
+    the quadrature budget, so this is how a test reaches that failure."""
+
+    def fail(f, points):
+        raise QuadratureError("injected quadrature failure")
+
+    @contextmanager
+    def inject():
+        determinants._barnes_a11.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(special_functions, "adaptive_quadrature", fail)
+            yield
+
+    return inject

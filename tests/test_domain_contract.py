@@ -22,6 +22,9 @@ REAL = (*POSITIVE, 0.0, -5e-324, -1.0, -1e300, -MAX)
 ABOVE_MINUS_1 = (*POSITIVE, 0.0, -0.5, math.nextafter(-1.0, 0.0), -1.0)
 UNIT = (5e-324, 1e-300, 1e-100, 0.5, 1.0, math.nextafter(1.0, 2.0))
 S = (0.0, -1.0, 0.5)
+# the angle of a Barnes-backed kind: every decade, through the spectral series
+# below 1/8 and above 8 and the quadrature between, up to the float range
+ANGLE = (*POSITIVE, *(10.0**k for k in range(-300, 307)))
 W = (0, 1, 2, 199, 200, 201)
 
 # log-uniform over the positive floats, from 0 (10^-324 underflows) to 1.8e308
@@ -29,14 +32,6 @@ positive = st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
 real = st.one_of(positive, positive.map(lambda v: -v), st.just(0.0))
 above_minus_1 = st.one_of(positive, st.floats(-1.0, 0.0))
 unit = st.floats(-324.0, 0.0).map(lambda e: 10.0**e)
-
-# Barnes-backed kinds: below this angle some inputs raise QuadratureError
-SMALL_ANGLE = 10.0**-8.1
-
-
-def small_angle(a, *_):
-    return a < SMALL_ANGLE
-
 
 def barnes_edge(a, b, x):
     # large b/a, or b/a below the normal floats
@@ -76,20 +71,20 @@ CONTRACT = [
     (barnes_zeta_prime0, "a b x", (1.0, 1.0, 1.0), (POSITIVE,) * 3, (positive,) * 3, barnes_edge),
     (SF.barnes_zeta_prime0_orbifold, "w", (2,), (W,), (st.integers(-1, 201),), None),
     (D.curvature_from_radius, "eta", (1.0,), (POSITIVE,), (positive,), None),
-    (logdet_hyperbolic_cone, "a eta", (1.0, 1.0), (POSITIVE,) * 2, (positive,) * 2, small_angle),
+    (logdet_hyperbolic_cone, "a eta", (1.0, 1.0), (ANGLE, POSITIVE), (positive,) * 2, None),
     (D.logdet_orbifold_cone, "w eta", (2, 1.0), (W, POSITIVE), (st.integers(-1, 201), positive), None),
     (D.small_eta_asymptotics, "w eta", (2, 0.1), (W, POSITIVE), (st.integers(-1, 201), positive), None),
     (D.fp_asymptotics_reference, "w eta", (2, 0.1), (W, POSITIVE), (st.integers(-1, 201), positive), None),
-    (D.zeta_prime0_spindle, "a K", (1.0, 1.0), (POSITIVE,) * 2, (positive,) * 2, small_angle),
+    (D.zeta_prime0_spindle, "a K", (1.0, 1.0), (ANGLE, POSITIVE), (positive,) * 2, None),
     (D.zeta0_spindle, "a", (1.0,), (POSITIVE,), (positive,), None),
-    (D.zeta_prime0_spherical_cone, "a K", (1.0, 1.0), (POSITIVE,) * 2, (positive,) * 2, small_angle),
+    (D.zeta_prime0_spherical_cone, "a K", (1.0, 1.0), (ANGLE, POSITIVE), (positive,) * 2, None),
     (
         zeta_prime0_unit_disk_cone,
         "a K",
         (1.0, 0.0),
-        (POSITIVE, ABOVE_MINUS_1),
+        (ANGLE, ABOVE_MINUS_1),
         (positive, above_minus_1),
-        small_angle,
+        None,
     ),
     (D.zeta0_unit_disk_cone, "a", (1.0,), (POSITIVE,), (positive,), None),
     (D.logdet_flat_disk, "r", (1.0,), (POSITIVE,), (positive,), None),

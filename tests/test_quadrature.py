@@ -12,6 +12,7 @@ from conedet.quadrature import (
     _gk25,
     adaptive_quadrature,
 )
+from conedet.special_functions import _im_log_gamma
 
 
 def _laurie_kronrod(n):
@@ -142,6 +143,37 @@ def test_budget_exhaustion_raises():
     # the loop bisects it until the budget runs out
     with pytest.raises(QuadratureError, match=r" after 400 subdivisions$"):
         adaptive_quadrature(lambda x: 1.0 / x, (0.0, 1.0))
+
+
+def test_cancelled_running_total_does_not_stop_the_loop():
+    # the centre Kronrod node of [0, 1] sees a spike of 1e30 that no node of
+    # its halves sees, so the running total of the estimates drops by about
+    # 6e28 at once and loses the 5e-5 estimate of [1, 2], which the 1e30
+    # spike had absorbed; the call returned (0.66666951, 5.0e-5)
+    def f(y):
+        if y == 0.5:
+            return 1e30
+        return math.sqrt(y - 1.0) if y > 1.0 else 0.0
+
+    val, err = adaptive_quadrature(f, (0.0, 1.0, 2.0))
+    assert err <= 1e-12
+    assert abs(val - 2.0 / 3.0) <= 1e-11
+
+
+def test_cancelled_total_may_stop_at_the_rounding_of_the_value():
+    # the Barnes integrand at (a, b, x) = (2.97e-103, 3.17e125, 1.02e-199)
+    # with its unit shifts left in: its estimates reach 1e208, and their
+    # running total cancels below abs_tol.  Their exact sum, 3.3e208, is
+    # still far above abs_tol, but below 2^-52 |value|, where no bisection
+    # can reach, so the call returns it as its error
+    p, s = 1.02e-199 / 2.97e-103, 3.17e125 / 2.97e-103
+
+    def f(y):
+        return -2.0 * _im_log_gamma(p, s * y) / math.expm1(2.0 * math.pi * y)
+
+    val, err = adaptive_quadrature(f, (0.0, 1.0, 3.0, 8.0, 16.0, 32.0, 60.0))
+    assert val == -4.643547612932654e229
+    assert 1e208 < err <= 2.0**-52 * abs(val)
 
 
 def test_non_finite_integrand_raises():

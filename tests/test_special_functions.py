@@ -593,6 +593,85 @@ class TestBarnes:
             assert str(exc.value).endswith(f"got a = {a!r}, b = {b!r}, x = {x!r}"), str(exc.value)
 
 
+def _reflected(big, a):
+    # zeta_B'(0; a, 1, 1) from big = zeta_B'(0; 1/a, 1, 1) by the reflection
+    log_a = math.log(a)
+    return math.fsum((big, -log_a * (a + 1.0 / a) / 12.0, -0.25 * log_a))
+
+
+class TestBarnesSeries:
+    """The quadrature-free route to zeta_B'(0; a, 1, 1) outside 1/8 < a < 8,
+    against the oracles that do not share its spectral derivation."""
+
+    def test_against_orbifold_closed_form(self):
+        for w in range(8, 201):
+            res = SF._barnes_a11_series(1.0 / w)
+            want = barnes_zeta_prime0_orbifold(w)
+            assert res.formula_tag == "barnes-series"
+            assert abs(res.value - want) <= res.abs_err, w
+            assert abs(res.value - want) <= 1e-14 * abs(want), w
+
+    # the integral representation by tanh-sinh quadrature in mpmath, computed
+    # at 50 digits and rounded to 30, as in TestBarnes.CALIBRATION
+    CALIBRATION = [
+        (8.0, "-0.391242879829861377018248563386"),
+        (14.0, "-0.727845220798843279571411294076"),
+        (16.0, "-0.880764826696144600709699167334"),
+        (30.0, "-2.35797227245197064278134484132"),
+        (99.0, "-14.894676844072872070569986951"),
+        (100.0, "-15.1150889583948978205986582542"),
+        (1e3, "-329.078731846046208187628079002"),
+    ]
+
+    @pytest.mark.parametrize("a, want", CALIBRATION)
+    def test_error_bar_holds_against_mpmath(self, a, want):
+        mpmath.mp.dps = 30
+        res = SF._barnes_a11_series(a)
+        assert abs(mpmath.mpf(res.value) - mpmath.mpf(want)) <= res.abs_err
+
+    @pytest.mark.parametrize("a", [0.125, 0.1, 0.01, 8.0, 30.0, 99.0])
+    def test_agrees_with_the_quadrature(self, a):
+        res = SF._barnes_a11_series(a)
+        quad = barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+        assert abs(res.value - quad.value) <= res.abs_err + quad.abs_err
+
+    def test_small_angles_against_the_quadrature_at_1_over_a(self):
+        # a = 10^k, k = -300..-9: the quadrature at (1/a, 1, 1), where it
+        # still returns a value, taken back to a by the reflection
+        for k in range(-300, -8):
+            a = 10.0**k
+            res = SF._barnes_a11_series(a)
+            quad = barnes_zeta_prime0(BarnesArgs(1.0 / a, 1.0, 1.0))
+            assert abs(res.value - _reflected(quad.value, a)) <= res.abs_err + quad.abs_err, a
+
+    @pytest.mark.parametrize("a", [1.7, 2.0, 5.0])
+    def test_reflection_holds_on_the_quadrature_alone(self, a):
+        one = barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+        other = barnes_zeta_prime0(BarnesArgs(1.0 / a, 1.0, 1.0))
+        assert abs(one.value - _reflected(other.value, a)) <= one.abs_err + other.abs_err
+
+    def test_large_angles_against_the_quadrature(self):
+        # a = 10^k, k = 1..306, the reflected series against the quadrature
+        # at the same (a, 1, 1)
+        for k in range(1, 307):
+            a = 10.0**k
+            res = SF._barnes_a11_series(a)
+            quad = barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+            assert abs(res.value - quad.value) <= res.abs_err + quad.abs_err, a
+
+    def test_beyond_the_float_range_names_a(self):
+        with pytest.raises(ValueError, match=r"^a put the barnes-series result beyond the float range"):
+            SF._barnes_a11_series(1.7e308)
+
+    def test_constants(self):
+        mpmath.mp.dps = 30
+        assert SF._LOG_GLAISHER == float(mpmath.log(mpmath.glaisher))
+        for k in range(2, 11):
+            assert 1.0 + SF._ZETA_MINUS_ONE[2 * k - 3] == float(mpmath.zeta(2 * k - 1)), k
+        first_omitted = _bernoulli(22) / (22 * 21) * Fraction(str(mpmath.zeta(21)))
+        assert first_omitted <= SF._BARNES_SERIES_NEXT <= 1.001 * first_omitted
+
+
 def _bernoulli(n):
     # mpmath's exact-fraction form of mpmath.bernoulli(n)
     p, q = mpmath.bernfrac(n)
