@@ -22,7 +22,6 @@ from .special_functions import _TINY, _finite, _real, _Record, _set
 __all__ = [
     "ConformalFactor",
     "PAIntegralBreakdown",
-    "grad_psi_sq",
     "pa_annulus_numeric",
     "pa_disk_numeric",
 ]
@@ -90,13 +89,6 @@ class PAIntegralBreakdown(_Record):
     def total(self) -> float:
         """The exactly rounded sum of the three pieces."""
         return math.fsum((self.area_term, self.boundary_curvature_terms, self.boundary_normal_terms))
-
-
-def grad_psi_sq(a: float, K: float, r: float) -> float:
-    """|grad psi|^2 = psi'(r)^2 for the radial cone conformal factor."""
-    cf = ConformalFactor(a, K)
-    d = cf.dpsi(r)
-    return _finite(d * d, "|grad psi|^2", a=cf.a, K=cf.K, r=r)
 
 
 def _area_term_closed_form(a: float, K: float) -> float:

@@ -5,7 +5,8 @@ Everything here is self-contained double-precision scalar code:
 * log-gamma (real, and the imaginary part along vertical lines) from the
   Stirling series after shifting the argument to Re z >= 10; the real
   series is Binet's function mu(z), the complex one is summed by Horner,
-* digamma the same way,
+* digamma from its own asymptotic series, the table _DIGAMMA, after
+  shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
   Barnes term needs: the values are Bernoulli polynomials, the derivative
   at 0 is Lerch's log-gamma formula, and the derivative at -1 a Taylor
@@ -137,9 +138,9 @@ _TINY = 1e-300
 # cosh overflows just above 710; keep radii where every formula stays finite
 _ETA_MAX = 700.0
 
-# Upper end of the Barnes integration range; keeps expm1(2 pi y) finite.  The
-# decay bound reaches it only where x/a is above about 7e140 or b/a above
-# about 1e137.
+# Upper end of the Barnes integration range; math.expm1(2 pi y) raises
+# OverflowError once 2 pi y passes about 709.  The decay bound reaches it
+# only where x/a is above about 7e140 or b/a above about 1e137.
 _Y_MAX = 60.0
 
 
@@ -316,16 +317,12 @@ def im_log_gamma(p: float, q: float) -> float:
     """
     p = _real("p", p, 0.0, open_lo=True)
     q = _real("q", q)
-    return _finite(_im_log_gamma(p, q), "Im log Gamma", p=p, q=q)
-
-
-def _im_log_gamma(p: float, q: float) -> float:
-    # the body of im_log_gamma, for floats the caller has already checked
     acc = 0.0
-    while p < _STIRLING_EDGE:
-        acc += math.atan2(q, p)
-        p += 1.0
-    return _im_stirling(p, q) - acc
+    z = p
+    while z < _STIRLING_EDGE:
+        acc += math.atan2(q, z)
+        z += 1.0
+    return _finite(_im_stirling(z, q) - acc, "Im log Gamma", p=p, q=q)
 
 
 def _im_stirling(p: float, q: float) -> float:
@@ -339,7 +336,15 @@ def _im_stirling(p: float, q: float) -> float:
     series = inv * (
         c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * (c8 + u * (c9 + u * c10))))))))
     )
-    return (p - 0.5) * math.atan2(q, p) + q * math.log(math.hypot(p, q)) - q + series.imag
+    arg = math.atan2(q, p)
+    # below sys.float_info.min, where q/p underflows, atan2 has lost bits;
+    # there (p - 1/2) arg z = q (1 - 1/(2p)) to double precision.  The
+    # Barnes nodes have q > 0, so the first comparison settles them
+    if arg < 2.2250738585072014e-308 and arg > -2.2250738585072014e-308:
+        arg_term = q * (1.0 - 0.5 / p)
+    else:
+        arg_term = (p - 0.5) * arg
+    return arg_term + q * math.log(math.hypot(p, q)) - q + series.imag
 
 
 def digamma(x: float) -> float:

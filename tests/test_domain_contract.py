@@ -100,7 +100,7 @@ CONTRACT = [
     (D.annulus_ratio_closed_form, "a K", (1.0, 2.0), (POSITIVE,) * 2, (positive,) * 2, None),
     *(
         (fn, "a K r", (1.0, 0.5, 0.5), (POSITIVE, ABOVE_MINUS_1, UNIT), (positive, above_minus_1, unit), None)
-        for fn in (psi, dpsi, PA.grad_psi_sq)
+        for fn in (psi, dpsi)
     ),
     (PA.pa_annulus_numeric, "a K", (1.0, 2.0), (POSITIVE,) * 2, (positive,) * 2, None),
     (PA.pa_disk_numeric, "eta", (1.0,), (POSITIVE,), (positive,), None),

@@ -10,7 +10,6 @@ from conedet.pa_oracle import (
     ConformalFactor,
     PAIntegralBreakdown,
     _area_term_closed_form,
-    grad_psi_sq,
     pa_annulus_numeric,
     pa_disk_numeric,
 )
@@ -72,7 +71,6 @@ class TestConformalFactor:
     @pytest.mark.parametrize(
         "call, what, a, K, r",
         [
-            (lambda: grad_psi_sq(0.5, 0.0, 1e-300), "|grad psi|^2", 0.5, 0.0, 1e-300),
             (lambda: ConformalFactor(1e300, _K_EDGE).dpsi(1.0), "psi'", 1e300, _K_EDGE, 1.0),
             (lambda: ConformalFactor(1e308, 0.5).psi(1e-300), "psi", 1e308, 0.5, 1e-300),
         ],
@@ -87,21 +85,24 @@ class TestConformalFactor:
 
 
 class TestGradPsiSq:
+    # psi' in closed form, sign included; its square |grad psi|^2 is the
+    # integrand of the area term
+
     def test_flat_smooth_metric_is_zero(self):
         for r in (0.1, 0.5, 0.99):
-            assert grad_psi_sq(1.0, 0.0, r) == 0.0
+            assert ConformalFactor(1.0, 0.0).dpsi(r) == 0.0
 
     def test_zero_curvature_cone(self):
         for a in (0.5, 2.0, 3.0):
             for r in (0.2, 0.7):
-                want = (a - 1.0) ** 2 / r**2
-                assert abs(grad_psi_sq(a, 0.0, r) - want) <= 1e-14 * want
+                want = (a - 1.0) / r
+                assert abs(ConformalFactor(a, 0.0).dpsi(r) - want) <= 1e-14 * abs(want)
 
     def test_smooth_curved_metric(self):
         for K in (0.5, 2.0):
             for r in (0.3, 0.8):
-                want = (2.0 * K * r / (1.0 + K * r * r)) ** 2
-                assert abs(grad_psi_sq(1.0, K, r) - want) <= 1e-14 * (1.0 + want)
+                want = -2.0 * K * r / (1.0 + K * r * r)
+                assert abs(ConformalFactor(1.0, K).dpsi(r) - want) <= 1e-14 * (1.0 + abs(want))
 
 
 class TestAnnulusOracle:

@@ -32,7 +32,6 @@ ROOT_NAMES = [
     "curvature_from_radius",
     "digamma",
     "fp_asymptotics_reference",
-    "grad_psi_sq",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
     "im_log_gamma",

@@ -12,7 +12,7 @@ from conedet.quadrature import (
     _gk25,
     adaptive_quadrature,
 )
-from conedet.special_functions import _im_log_gamma
+from conedet.special_functions import im_log_gamma
 
 
 def _laurie_kronrod(n):
@@ -169,7 +169,7 @@ def test_cancelled_total_may_stop_at_the_rounding_of_the_value():
     p, s = 1.02e-199 / 2.97e-103, 3.17e125 / 2.97e-103
 
     def f(y):
-        return -2.0 * _im_log_gamma(p, s * y) / math.expm1(2.0 * math.pi * y)
+        return -2.0 * im_log_gamma(p, s * y) / math.expm1(2.0 * math.pi * y)
 
     val, err = adaptive_quadrature(f, (0.0, 1.0, 3.0, 8.0, 16.0, 32.0, 60.0))
     assert val == -4.643547612932654e229
