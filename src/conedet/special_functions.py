@@ -246,16 +246,37 @@ class EvalResult(_Record):
         _set(self, "formula_tag", formula_tag)
 
 
+# EvalResult's slot setters; _fsum_result sets the fields it has checked
+# through them, which takes about a seventh off its time against _set
+_set_value = EvalResult.value.__set__
+_set_abs_err = EvalResult.abs_err.__set__
+_set_formula_tag = EvalResult.formula_tag.__set__
+
+
 def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params: float) -> EvalResult:
     """The exactly rounded sum of terms, its error bar being err plus the
     rounding floor 2e-14 * (1 + sum of |term|).  Raises a ValueError that
-    names params, the inputs the terms came from, when either is not finite."""
+    names params, the inputs the terms came from, when either is not finite.
+
+    Every result the package computes is built here.  It enforces the
+    invariants EvalResult(...) validates, a finite value and a finite
+    non-negative bar, before it builds the record, so it sets the fields
+    directly; a failing check goes through _finite and EvalResult(...),
+    which raise the errors."""
     try:
         value = math.fsum(terms)
-        abs_err = err + 2e-14 * (1.0 + math.fsum(abs(t) for t in terms))
+        abs_err = err + 2e-14 * (1.0 + math.fsum(map(abs, terms)))
     except (OverflowError, ValueError):  # fsum overflowed or met inf - inf
         value = abs_err = math.nan
-    _finite(abs_err + 0.0 * value, f"the {tag} result", **params)  # finite iff both are, as abs_err >= 0
+    # 0 * value is nan unless value is finite, so this holds iff _finite and
+    # EvalResult(...) would accept the fields
+    if 0.0 <= abs_err + 0.0 * value < math.inf and tag:
+        result = object.__new__(EvalResult)
+        _set_value(result, value)
+        _set_abs_err(result, abs_err)
+        _set_formula_tag(result, tag)
+        return result
+    _finite(abs_err + 0.0 * value, f"the {tag} result", **params)
     return EvalResult(value, abs_err, tag)
 
 
@@ -549,10 +570,10 @@ def _barnes_a11_series(a: float) -> EvalResult:
         m, lead = 1.0 / a, _LOG_GLAISHER * a
         log_a = math.log(a)
         reflection = (-log_a / 12.0 * a, -log_a / 12.0 * m, -0.25 * log_a)
+    # Horner in m^2, unrolled as in _im_stirling
+    c2, c3, c4, c5, c6, c7, c8, c9, c10 = _BARNES_SERIES
     m2 = m * m
-    series = 0.0
-    for c in reversed(_BARNES_SERIES):
-        series = series * m2 + c
+    series = c2 + m2 * (c3 + m2 * (c4 + m2 * (c5 + m2 * (c6 + m2 * (c7 + m2 * (c8 + m2 * (c9 + m2 * c10)))))))
     terms = (lead, EULER_GAMMA / 12.0 * m, -0.25 * LOG_2PI, series * m2 * m, *reflection)
     return _fsum_result(terms, "barnes-series", _BARNES_SERIES_NEXT * m**21, a=a)
 

@@ -17,6 +17,7 @@ from conedet import (
     IdentityReport,
     PAIntegralBreakdown,
 )
+from conedet.special_functions import _fsum_result
 
 # (type, field values, repr, (field, invalid value, ValueError message));
 # the int values show that validated fields are stored as floats
@@ -149,3 +150,24 @@ def test_match_by_position_and_keyword():
             assert (a, eta) == (0.5, 1.0)
         case _:
             pytest.fail("ConeGeometry did not match its own class pattern")
+
+
+def test_computed_result_behaves_like_a_constructed_one():
+    # _fsum_result sets the fields of the results the package computes
+    # without going through EvalResult.__init__
+    computed = _fsum_result((1.0, 0.5), "flat-disk", r=1.0)
+    constructed = EvalResult(1.5, 2e-14 * 2.5, "flat-disk")
+    assert computed.value == 1.5 and computed.abs_err == 2e-14 * 2.5
+    assert computed == constructed and constructed == computed
+    assert hash(computed) == hash(constructed) == hash((1.5, 2e-14 * 2.5, "flat-disk"))
+    assert repr(computed) == repr(constructed) == "EvalResult(value=1.5, abs_err=5e-14, formula_tag='flat-disk')"
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        cloned = clone(computed)
+        assert type(cloned) is EvalResult and cloned == constructed and hash(cloned) == hash(constructed)
+    with pytest.raises(AttributeError):
+        computed.value = 2.0
+    match computed:
+        case EvalResult(value, abs_err, formula_tag="flat-disk"):
+            assert (value, abs_err) == (1.5, 2e-14 * 2.5)
+        case _:
+            pytest.fail("a computed EvalResult did not match its own class pattern")

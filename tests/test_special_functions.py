@@ -705,6 +705,51 @@ def test_coefficient_table_holds_nearest_doubles(name, exact):
         assert got == float(want), (name, got, want)
 
 
+_MAGNITUDE = st.floats(1e-300, 1e300)
+
+
+class TestFsumResult:
+    """_fsum_result builds every result the package computes: its record
+    must carry the reference formula's bits, and its errors must be the
+    ones _finite and EvalResult(...) raise."""
+
+    RANGE_ERROR = "a and eta put the hyperbolic-cone result beyond the float range, got a = 0.5, eta = 1.0"
+
+    @given(
+        terms=st.lists(st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda m: -m)), min_size=1, max_size=9),
+        err=st.floats(0.0, 1e300),
+    )
+    def test_matches_the_reference_formula(self, terms, err):
+        res = SF._fsum_result(tuple(terms), "hyperbolic-cone", err, a=0.5, eta=1.0)
+        assert type(res) is EvalResult and res.formula_tag == "hyperbolic-cone"
+        # float.hex tells -0.0 from 0.0
+        assert res.value.hex() == math.fsum(terms).hex()
+        assert res.abs_err.hex() == (err + 2e-14 * (1 + math.fsum(abs(t) for t in terms))).hex()
+
+    @pytest.mark.parametrize(
+        "terms, err",
+        [
+            ((1.0, math.nan), 0.0),
+            ((math.inf, 1.0), 0.0),
+            ((1.0, -math.inf), 0.0),
+            ((math.inf, -math.inf), 0.0),
+            ((1e308, 1e308), 0.0),
+            ((1.0,), math.inf),
+        ],
+        ids=["nan", "inf", "-inf", "inf-inf", "overflow", "err=inf"],
+    )
+    def test_beyond_the_float_range_names_the_params(self, terms, err):
+        with pytest.raises(ValueError) as exc:
+            SF._fsum_result(terms, "hyperbolic-cone", err, a=0.5, eta=1.0)
+        assert str(exc.value) == self.RANGE_ERROR
+
+    def test_invalid_record_fields_raise_as_eval_result_does(self):
+        with pytest.raises(ValueError, match="^abs_err must be a nonnegative float, got -0.99"):
+            SF._fsum_result((1.0,), "hyperbolic-cone", -1.0, a=0.5, eta=1.0)
+        with pytest.raises(ValueError, match="^formula_tag must be a nonempty string$"):
+            SF._fsum_result((1.0,), "", a=0.5, eta=1.0)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "fn, args, name, pos, bad",
