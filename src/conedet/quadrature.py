@@ -3,6 +3,10 @@
 A 12-point Gauss rule embedded in a 25-point Kronrod rule gives a value
 and a per-interval error estimate; the interval with the worst estimate
 is bisected until the summed estimate drops below the absolute tolerance.
+The rule is one table, _NODES, of (abscissa, Kronrod weight, Gauss weight)
+for the twelve symmetric node pairs, built once from the tabulated nodes
+and weights; a Kronrod-only node carries Gauss weight 0.0, and the centre,
+a Kronrod-only node too, is weighted apart.
 
 This module owns the one budget of every quadrature in the package:
 absolute tolerance _ABS_TOL = 1e-12 and at most _MAX_SUBDIVISIONS = 400
@@ -73,18 +77,20 @@ _WG = (
     0.249147045813402785000562436042951,
 )
 
+# (abscissa, Kronrod weight, Gauss weight) of each node pair, outermost first
+_NODES = tuple((_XGK[i], _WGK[i], _WG[i // 2] if i % 2 else 0.0) for i in range(12))
+
 
 def _gk25(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     kron = _WGK[12] * f(c)
     gauss = 0.0
-    for i in range(12):
-        dx = h * _XGK[i]
+    for x, wk, wg in _NODES:
+        dx = h * x
         pair = f(c - dx) + f(c + dx)
-        kron += _WGK[i] * pair
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * pair
+        kron += wk * pair
+        gauss += wg * pair
     kron *= h
     gauss *= h
     return kron, abs(kron - gauss)
@@ -117,7 +123,9 @@ def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) ->
         total_err += err
 
     splits = 0
-    while total_err > _ABS_TOL:
+    # "not <=" lets a nan total in, to raise below: an infinite value at a
+    # Kronrod-only node adds 0.0 * inf = nan to that panel's Gauss sum
+    while not total_err <= _ABS_TOL:
         if not math.isfinite(total_err):
             raise QuadratureError("integrand produced a non-finite value")
         if splits >= _MAX_SUBDIVISIONS:

@@ -3,8 +3,9 @@
 Everything here is self-contained double-precision scalar code:
 
 * log-gamma (real, and the imaginary part along vertical lines) from the
-  Stirling series after shifting the argument to Re z >= 10; the real
-  series is Binet's function mu(z), the complex one is summed by Horner,
+  Stirling series after shifting the argument to Re z >= 10; one Horner
+  evaluator, _stirling, sums that series for real and complex z alike, and
+  Binet's function mu(z) is the same series plus its unit shifts,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
@@ -61,9 +62,8 @@ _STIRLING = tuple(n / (d * 2 * j * (2 * j - 1)) for j, (n, d) in enumerate(_BERN
 # B_{2j} / (2j) for the digamma asymptotic series.
 _DIGAMMA = tuple(n / (d * 2 * j) for j, (n, d) in enumerate(_BERNOULLI[:8], 1))
 
-# zeta(k) - 1 for k = 2, 3, ..., 45, the coefficients of the Taylor series
-# of zeta'(-1, x) about x = 2; the first omitted term is below 2e-17 for
-# |x - 2| <= 1.
+# zeta(k) - 1 for k = 2, 3, ..., 45, from which the coefficients of the
+# Taylor series of zeta'(-1, x) about x = 2 are derived below.
 _ZETA_MINUS_ONE = (
     0.6449340668482264,
     0.2020569031595943,
@@ -111,6 +111,13 @@ _ZETA_MINUS_ONE = (
     2.842170976889302e-14,
 )
 
+# (zeta(k) - 1) / (k (k+1)) for k = 45, 44, ..., 2, highest k first for
+# Horner, the coefficients of that Taylor series past its t^2 term; the first
+# omitted term is below 2e-17 for |x - 2| <= 1.
+_ZETA_SDERIV_TAYLOR = tuple(
+    _ZETA_MINUS_ONE[k - 2] / (k * (k + 1)) for k in range(len(_ZETA_MINUS_ONE) + 1, 1, -1)
+)
+
 # B_2k / (2k (2k-1)) * zeta(2k-1) for k = 2, ..., 10, the coefficients of the
 # small-angle Barnes series in a^(2k-1); 1 + _ZETA_MINUS_ONE[2k-3] is the
 # nearest double to zeta(2k-1) for each of these k.
@@ -131,6 +138,10 @@ _ZETA_SDERIV_TAIL = tuple(
 
 # The Stirling tail reaches double precision once Re z is past this line.
 _STIRLING_EDGE = 10.0
+
+# Where the Barnes integral is cut off: _truncation_point puts y_end where
+# the tail beyond it is below this, and the Barnes error bar allows it.
+_CUTOFF_TOL = _ABS_TOL / 10.0
 
 # Smallest value accepted for a parameter that must be positive.
 _TINY = 1e-300
@@ -292,25 +303,33 @@ def _finite(value: float, what: str, /, **params: float) -> float:
     raise ValueError(f"{names} put {what} beyond the float range, got {got}")
 
 
+def _stirling(z: float | complex) -> float | complex:
+    """The Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) of log Gamma, for
+    real or complex z with Re z >= _STIRLING_EDGE, summed by Horner in 1/z^2;
+    the one evaluator of _STIRLING.  At real z it is Binet's function mu(z)
+    to double precision."""
+    # unrolled: a loop over _STIRLING costs about 8% more per call, and the
+    # Barnes quadrature makes 75 calls
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _STIRLING
+    inv = 1.0 / z
+    u = inv * inv
+    return inv * (
+        c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * (c8 + u * (c9 + u * c10))))))))
+    )
+
+
 def _binet(z: float) -> float:
     """Binet's function mu(z) = log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2
-    for z > 0, the Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) after
-    the unit shifts mu(z) = mu(z + 1) + (z + 1/2) log(1 + 1/z) - 1 bring z
-    to _STIRLING_EDGE or above.  Below z = 1, log(1 + 1/z) is taken as
-    log(1 + z) - log z, which stays finite for subnormal z."""
+    for z > 0, the Stirling series after the unit shifts
+    mu(z) = mu(z + 1) + (z + 1/2) log(1 + 1/z) - 1 bring z to _STIRLING_EDGE
+    or above.  Below z = 1, log(1 + 1/z) is taken as log(1 + z) - log z,
+    which stays finite for subnormal z."""
     shift = 0.0
     while z < _STIRLING_EDGE:
         log_ratio = math.log1p(1.0 / z) if z >= 1.0 else math.log1p(z) - math.log(z)
         shift += (z + 0.5) * log_ratio - 1.0
         z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = 0.0
-    p = inv
-    for c in _STIRLING:
-        series += c * p
-        p *= inv2
-    return series + shift
+    return _stirling(z) + shift
 
 
 def log_gamma(x: float) -> float:
@@ -322,7 +341,7 @@ def log_gamma(x: float) -> float:
     while y < _STIRLING_EDGE:
         shift += math.log(y)
         y += 1.0
-    value = (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _binet(y) - shift
+    value = (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _stirling(y) - shift
     if value < math.inf:  # the inline test spares the hot path a call
         return value
     return _finite(value, "log Gamma", x=x)
@@ -348,15 +367,8 @@ def im_log_gamma(p: float, q: float) -> float:
 
 def _im_stirling(p: float, q: float) -> float:
     """Im log Gamma(p + i q) for p >= _STIRLING_EDGE from the Stirling
-    series, summed by Horner in 1/z^2; the one owner of the complex series."""
-    # unrolled: a loop over _STIRLING costs about 8% more per call, and the
-    # Barnes quadrature makes 75 calls
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _STIRLING
-    inv = 1.0 / complex(p, q)
-    u = inv * inv
-    series = inv * (
-        c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * (c8 + u * (c9 + u * c10))))))))
-    )
+    series at the complex point p + i q."""
+    series = _stirling(complex(p, q))
     arg = math.atan2(q, p)
     # below sys.float_info.min, where q/p underflows, atan2 has lost bits;
     # there (p - 1/2) arg z = q (1 - 1/(2p)) to double precision.  The
@@ -420,8 +432,8 @@ def _zeta_sderiv_minus1(x: float) -> float:
     t = x - 2.0
     u = -t
     series = 0.0
-    for k in range(len(_ZETA_MINUS_ONE) + 1, 1, -1):
-        series = series * u + _ZETA_MINUS_ONE[k - 2] / (k * (k + 1))
+    for c in _ZETA_SDERIV_TAYLOR:
+        series = series * u + c
     # 3/2 - log(2 pi)/2 and (2 - gamma)/2, each rounded once
     poly = t * (0.5810614667953272 + t * (0.7113921675492336 + t * series))
     return _ZETA_PRIME_MINUS_ONE + poly + shift
@@ -473,9 +485,9 @@ def _barnes_integrand(p: float, scale: float) -> Callable[[float], float]:
 
 def _truncation_point(p: float, scale: float) -> float:
     """Smallest Y such that a crude bound on the integrand at (p, scale)
-    times exp(-2 pi Y) is below _ABS_TOL / 10, found by a short fixed-point
+    times exp(-2 pi Y) is below _CUTOFF_TOL, found by a short fixed-point
     iteration."""
-    log_target = math.log(_ABS_TOL) - math.log(10.0)
+    log_target = math.log(_CUTOFF_TOL)
     y = 1.0
     for _ in range(4):
         qy = scale * y
@@ -542,7 +554,7 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
         # can cancel, and each is accurate far below the floor
         math.fsum((integral, *peeled)),
     )
-    return _fsum_result(terms, "barnes-integral", quad_err + _ABS_TOL / 10.0, a=a, b=b, x=x)
+    return _fsum_result(terms, "barnes-integral", quad_err + _CUTOFF_TOL, a=a, b=b, x=x)
 
 
 def _barnes_a11_series(a: float) -> EvalResult:
@@ -570,7 +582,7 @@ def _barnes_a11_series(a: float) -> EvalResult:
         m, lead = 1.0 / a, _LOG_GLAISHER * a
         log_a = math.log(a)
         reflection = (-log_a / 12.0 * a, -log_a / 12.0 * m, -0.25 * log_a)
-    # Horner in m^2, unrolled as in _im_stirling
+    # Horner in m^2, unrolled as in _stirling
     c2, c3, c4, c5, c6, c7, c8, c9, c10 = _BARNES_SERIES
     m2 = m * m
     series = c2 + m2 * (c3 + m2 * (c4 + m2 * (c5 + m2 * (c6 + m2 * (c7 + m2 * (c8 + m2 * (c9 + m2 * c10)))))))

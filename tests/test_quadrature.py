@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conedet.quadrature import (
+    _NODES,
     _WG,
     _WGK,
     _XGK,
@@ -76,6 +77,14 @@ def test_tables_match_laurie_construction():
     pairs = [*zip(kronrod[:13], _XGK, _WGK), *zip(gauss[:6], _XGK[1::2], _WG)]
     for (x, w), xt, wt in pairs:
         assert abs(x - xt) <= 0.5 * math.ulp(xt) + 1e-30 and abs(w - wt) <= 0.5 * math.ulp(wt), (xt, wt)
+
+
+def test_node_table_holds_the_tabulated_rule():
+    # each node pair with its Kronrod weight and, on the odd entries, the
+    # embedded Gauss weight; a Kronrod-only pair weighs 0.0 in the Gauss sum
+    assert len(_NODES) == 12
+    for i, node in enumerate(_NODES):
+        assert node == (_XGK[i], _WGK[i], _WG[i // 2] if i % 2 else 0.0), i
 
 
 def _moment_error(nodes, weights, degree):
@@ -193,6 +202,21 @@ def test_infinite_kronrod_node_raises_at_once():
     with pytest.raises(QuadratureError, match=r"^integrand produced a non-finite value$"):
         adaptive_quadrature(f, (0.0, 1.0))
     assert len(calls) == 25  # one panel, never bisected
+
+
+def test_opposite_infinities_at_kronrod_only_nodes_raise():
+    # +inf at the outermost node of [0, 1] and -inf at that of [1, 2]: each
+    # panel's Gauss sum takes 0.0 * inf = nan, so the first total is nan, and
+    # the panel values would meet as inf - inf in the final fsum
+    node = 0.5 - 0.5 * _XGK[0]
+
+    def f(x):
+        if x == node:
+            return math.inf
+        return -math.inf if x == 1.0 + node else 1.0
+
+    with pytest.raises(QuadratureError, match=r"^integrand produced a non-finite value$"):
+        adaptive_quadrature(f, (0.0, 1.0, 2.0))
 
 
 def test_jump_at_irrational_point_runs_out_of_floats():

@@ -364,6 +364,13 @@ class TestBinet:
             want = _mp_binet(z)
             assert abs(SF._binet(z) - want) <= 1e-15 * (1.0 + abs(want)), z
 
+    @given(z=st.floats(1.0, 300.0).map(lambda e: 10.0**e))
+    def test_one_stirling_evaluator(self, z):
+        # the complex series on the real axis is the real series, bit for
+        # bit, and above the shift edge Binet's function is the series alone
+        assert SF._stirling(complex(z, 0.0)) == complex(SF._stirling(z), 0.0)
+        assert SF._binet(z) == SF._stirling(z)
+
     @pytest.mark.parametrize("z", [0.01, 1.0, 7.5, 1e3])
     def test_second_formula(self, z):
         # mu(z) = int_0^inf 2 arctan(t/z) / (e^(2 pi t) - 1) dt, the integral
