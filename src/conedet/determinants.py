@@ -83,7 +83,8 @@ class ConeGeometry(_Record):
 
 class CurvedDiskGeometry(_Record):
     """Unit disk carrying the constant-curvature cone metric with angle
-    2*pi*a and curvature K > -1."""
+    2*pi*a and curvature K > -1: e^{2 psi(r)} |dz|^2 with the radial
+    conformal factor psi(r) = (a-1) log r + log(2a) - log(1 + K r^{2a})."""
 
     __slots__ = __match_args__ = ("a", "K")
     a: float
@@ -92,6 +93,15 @@ class CurvedDiskGeometry(_Record):
     def __init__(self, a: float, K: float) -> None:
         _set(self, "a", _real("a", a, _TINY))
         _set(self, "K", _real("K", K, -1.0, open_lo=True))
+
+    def psi(self, r: float) -> float:
+        r = _real("r", r, _TINY, 1.0)
+        # 1 + K r^2a >= 1 + K >= 2^-53, since K > -1 and r <= 1
+        return _finite(pa_oracle._psi(self.a, self.K, r), "psi", a=self.a, K=self.K, r=r)
+
+    def dpsi(self, r: float) -> float:
+        r = _real("r", r, _TINY, 1.0)
+        return _finite(pa_oracle._dpsi(self.a, self.K, r), "psi'", a=self.a, K=self.K, r=r)
 
 
 class IdentityReport(_Record):

@@ -7,9 +7,11 @@ integral of |grad psi|^2 plus boundary integrals of psi and its normal
 derivative.  This module evaluates that functional numerically for the
 two domains where the package also has closed forms (the cone-metric
 annulus and the smooth curvature -1 disk), giving an independent oracle
-for the analytic results in determinants.py.  Only the area term needs
-quadrature; the boundary circles contribute in closed form because psi
-is radial.
+for the analytic results in determinants.py.  Both oracles integrate the
+conformal factor of CurvedDiskGeometry: the annulus at its (a, K), the
+cap at (1, -1), the Poincare metric 4 |dz|^2 / (1 - |z|^2)^2.  Only the
+area term needs quadrature; the boundary circles contribute in closed
+form because psi is radial.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 import math
 
 from .quadrature import adaptive_quadrature
-from .special_functions import _TINY, _finite, _real, _Record, _set
+from .special_functions import _TINY, _real, _Record, _set
 
 __all__ = [
-    "ConformalFactor",
     "PAIntegralBreakdown",
     "pa_annulus_numeric",
     "pa_disk_numeric",
@@ -42,34 +43,14 @@ _RHO_MAX = 1.0 - 1e-15
 _DISK_ETA_MAX = 7.5
 
 
+def _psi(a: float, K: float, r: float) -> float:
+    # psi(r) of CurvedDiskGeometry(a, K), unchecked
+    return (a - 1.0) * math.log(r) + math.log(2.0 * a) - math.log(1.0 + K * r ** (2.0 * a))
+
+
 def _dpsi(a: float, K: float, r: float) -> float:
-    # psi'(r) of ConformalFactor(a, K), unchecked
+    # psi'(r) of CurvedDiskGeometry(a, K), unchecked
     return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / (1.0 + K * r ** (2.0 * a))
-
-
-class ConformalFactor(_Record):
-    """Radial conformal factor of the angle 2*pi*a, curvature K cone metric
-    on the unit disk: e^{2 psi(r)} |dz|^2 with
-    psi(r) = (a-1) log r + log(2a) - log(1 + K r^{2a})."""
-
-    __slots__ = __match_args__ = ("a", "K")
-    a: float
-    K: float
-
-    def __init__(self, a: float, K: float) -> None:
-        _set(self, "a", _real("a", a, _TINY))
-        _set(self, "K", _real("K", K, -1.0, open_lo=True))
-
-    def psi(self, r: float) -> float:
-        r = _real("r", r, _TINY, 1.0)
-        a, K = self.a, self.K
-        # 1 + K r^2a >= 1 + K >= 2^-53, since K > -1 and r <= 1
-        value = (a - 1.0) * math.log(r) + math.log(2.0 * a) - math.log(1.0 + K * r ** (2.0 * a))
-        return _finite(value, "psi", a=a, K=K, r=r)
-
-    def dpsi(self, r: float) -> float:
-        r = _real("r", r, _TINY, 1.0)
-        return _finite(_dpsi(self.a, self.K, r), "psi'", a=self.a, K=self.K, r=r)
 
 
 class PAIntegralBreakdown(_Record):
@@ -104,6 +85,18 @@ def _area_term_closed_form(a: float, K: float) -> float:
     )
 
 
+def _area_term(a: float, K: float, seeds: tuple[float, ...]) -> float:
+    # -(1/6) * integral of psi'(r)^2 r dr over the seed panels, psi' unchecked:
+    # no Gauss-Kronrod node lies on an end point, so every node has r > 0,
+    # and the callers' radii keep 1 + K r^2a > 0
+    def integrand(r: float) -> float:
+        d = _dpsi(a, K, r)
+        return d * d * r
+
+    raw, _ = adaptive_quadrature(integrand, seeds)
+    return -raw / 6.0
+
+
 def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
     """Anomaly functional for the cone-metric annulus K^(-1/2a) <= |z| <= 1
     with the area term done by quadrature.  Needs K > 1 so the inner circle
@@ -121,15 +114,9 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
             f"got {rho!r} at a = {a!r}, K = {K!r}"
         )
 
-    # psi'(r)^2 r, unchecked: every node lies in [rho, 1], and K > 1 keeps
-    # 1 + K r^2a > 1
-    def integrand(r: float) -> float:
-        d = _dpsi(a, K, r)
-        return d * d * r
-
-    # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner edge
-    seeds = (rho, rho ** (2.0 / 3.0), rho ** (1.0 / 3.0), 1.0)
-    raw, _ = adaptive_quadrature(integrand, seeds)
+    # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner
+    # edge; K > 1 keeps 1 + K r^2a > 1
+    area = _area_term(a, K, (rho, rho ** (2.0 / 3.0), rho ** (1.0 / 3.0), 1.0))
 
     curvature = math.fsum(
         (
@@ -138,7 +125,7 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
         )
     )
     normal = math.fsum((-0.5, 0.5 + 0.5 * a - a / (K + 1.0)))
-    return PAIntegralBreakdown(-raw / 6.0, curvature, normal)
+    return PAIntegralBreakdown(area, curvature, normal)
 
 
 def pa_disk_numeric(eta: float) -> PAIntegralBreakdown:
@@ -151,18 +138,14 @@ def pa_disk_numeric(eta: float) -> PAIntegralBreakdown:
 
     T = math.tanh(0.5 * eta)
 
-    def integrand(r: float) -> float:
-        u = 1.0 - r * r
-        return 4.0 * r ** 3 / (u * u)
-
-    # three panels whose distances 1 - r to the pole at r = 1 fall
-    # geometrically from 1 to 1 - T; log(1 - T) = -log1p((e^eta - 1)/2)
+    # psi' of the cap is 2r/(1 - r^2): three panels whose distances 1 - r to
+    # its pole at r = 1 fall geometrically from 1 to 1 - T;
+    # log(1 - T) = -log1p((e^eta - 1)/2)
     log_gap = -math.log1p(0.5 * math.expm1(eta))
-    seeds = (0.0, -math.expm1(log_gap / 3.0), -math.expm1(2.0 * log_gap / 3.0), T)
-    raw, _ = adaptive_quadrature(integrand, seeds)
+    area = _area_term(1.0, -1.0, (0.0, -math.expm1(log_gap / 3.0), -math.expm1(2.0 * log_gap / 3.0), T))
 
     # 1 - T^2 = 2/(1 + cosh eta), stable for all eta
     s2 = 2.0 / (1.0 + math.cosh(eta))
     curvature = -(math.log(2.0) - math.log(s2)) / 3.0
     normal = -0.5 * (math.cosh(eta) - 1.0)
-    return PAIntegralBreakdown(-raw / 6.0, curvature, normal)
+    return PAIntegralBreakdown(area, curvature, normal)

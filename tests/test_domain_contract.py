@@ -52,11 +52,11 @@ def zeta_prime0_unit_disk_cone(a, K):
 
 
 def psi(a, K, r):
-    return PA.ConformalFactor(a, K).psi(r)
+    return D.CurvedDiskGeometry(a, K).psi(r)
 
 
 def dpsi(a, K, r):
-    return PA.ConformalFactor(a, K).dpsi(r)
+    return D.CurvedDiskGeometry(a, K).dpsi(r)
 
 
 # (function, parameter names, nominal arguments, edge values and strategy of

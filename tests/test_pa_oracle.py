@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,11 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedet.pa_oracle as PA
-from conedet.determinants import annulus_ratio_closed_form, logdet_flat_disk, logdet_poincare_cap
+from conedet.determinants import (
+    CurvedDiskGeometry,
+    annulus_ratio_closed_form,
+    logdet_flat_disk,
+    logdet_poincare_cap,
+)
 from conedet.pa_oracle import (
-    ConformalFactor,
     PAIntegralBreakdown,
     _area_term_closed_form,
+    _dpsi,
+    _psi,
     pa_annulus_numeric,
     pa_disk_numeric,
 )
@@ -17,25 +24,50 @@ from conedet.pa_oracle import (
 _K_EDGE = math.nextafter(-1.0, 0.0)
 
 
+def _curvature(psi, dpsi, r):
+    # -e^{-2 psi} (psi'' + psi'/r), the Gaussian curvature of the radial
+    # metric e^{2 psi(r)} |dz|^2, with psi'' from central differences
+    h = 1e-5 * r
+    d2 = (dpsi(r + h) - dpsi(r - h)) / (2.0 * h)
+    return -math.exp(-2.0 * psi(r)) * (d2 + dpsi(r) / r)
+
+
 class TestConformalFactor:
+    # psi and dpsi of CurvedDiskGeometry
+
+    def test_gaussian_curvature_is_K(self):
+        # a wrong sign or power made in both psi and psi' passes the
+        # psi'-against-psi checks but not this one.  The worst error on
+        # this grid is 1.2e-4 (1 + |K|), at a = 3.7, K = 0, r = 0.1, all of
+        # it rounding in the differences
+        for a in (0.3, 0.725, 1.0, 1.575, 2.0, 2.85, 3.7):
+            for K in (-0.9, -0.5, 0.0, 0.19, 1.0, 3.0, 10.0):
+                g = CurvedDiskGeometry(a, K)
+                for r in (0.1, 0.25, 0.5, 0.75, 0.95):
+                    assert abs(_curvature(g.psi, g.dpsi, r) - K) <= 1e-3 * (1.0 + abs(K)), (a, K, r)
+        # the Poincare metric of the cap oracle, which the record rejects
+        for r in (0.1, 0.25, 0.5, 0.75, 0.95):
+            got = _curvature(functools.partial(_psi, 1.0, -1.0), functools.partial(_dpsi, 1.0, -1.0), r)
+            assert abs(got + 1.0) <= 1e-6, r
+
     def test_boundary_value(self):
         # psi(1) = log 2a - log(1+K) enters the outer curvature term
-        cf = ConformalFactor(2.0, 5.0)
-        assert abs(cf.psi(1.0) - (math.log(4.0) - math.log(6.0))) <= 1e-15
+        g = CurvedDiskGeometry(2.0, 5.0)
+        assert abs(g.psi(1.0) - (math.log(4.0) - math.log(6.0))) <= 1e-15
 
     def test_inner_radius_value(self):
         # at r = K^(-1/2a): psi = -(a-1)/(2a) log K + log 2a - log 2
         a, K = 2.0, 5.0
         rho = K ** (-1.0 / (2.0 * a))
         want = -(a - 1.0) / (2.0 * a) * math.log(K) + math.log(2.0 * a) - math.log(2.0)
-        assert abs(ConformalFactor(a, K).psi(rho) - want) <= 1e-14
+        assert abs(CurvedDiskGeometry(a, K).psi(rho) - want) <= 1e-14
 
     def test_dpsi_matches_finite_differences(self):
         for a, K, r in ((1.0, 2.0, 0.5), (2.0, 5.0, 0.7), (0.5, 0.0, 0.3), (1.5, -0.5, 0.9)):
-            cf = ConformalFactor(a, K)
+            g = CurvedDiskGeometry(a, K)
             h = 1e-6 * r
-            fd = (cf.psi(r + h) - cf.psi(r - h)) / (2.0 * h)
-            assert abs(fd - cf.dpsi(r)) <= 1e-8 * (1.0 + abs(cf.dpsi(r))), (a, K, r)
+            fd = (g.psi(r + h) - g.psi(r - h)) / (2.0 * h)
+            assert abs(fd - g.dpsi(r)) <= 1e-8 * (1.0 + abs(g.dpsi(r))), (a, K, r)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -44,35 +76,37 @@ class TestConformalFactor:
         r=st.floats(0.05, 0.95, allow_nan=False),
     )
     def test_dpsi_derivative_property(self, a, K, r):
-        cf = ConformalFactor(a, K)
+        g = CurvedDiskGeometry(a, K)
         h = 1e-6 * r
-        fd = (cf.psi(r + h) - cf.psi(r - h)) / (2.0 * h)
-        assert abs(fd - cf.dpsi(r)) <= 1e-5 * (1.0 + abs(cf.dpsi(r)))
+        fd = (g.psi(r + h) - g.psi(r - h)) / (2.0 * h)
+        assert abs(fd - g.dpsi(r)) <= 1e-5 * (1.0 + abs(g.dpsi(r)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ConformalFactor(0.0, 1.0)
+            CurvedDiskGeometry(0.0, 1.0)
         with pytest.raises(ValueError):
-            ConformalFactor(1.0, -1.0)
-        cf = ConformalFactor(1.0, 1.0)
+            CurvedDiskGeometry(1.0, -1.0)
+        with pytest.raises(ValueError, match=r"^a must be a real number, got True$"):
+            CurvedDiskGeometry(True, 0.25)
+        g = CurvedDiskGeometry(1.0, 1.0)
         with pytest.raises(ValueError):
-            cf.psi(0.0)
+            g.psi(0.0)
         with pytest.raises(ValueError):
-            cf.psi(1.5)
+            g.psi(1.5)
         with pytest.raises(ValueError):
-            cf.dpsi(-0.2)
+            g.dpsi(-0.2)
 
     def test_smallest_denominator_is_finite(self):
         # 1 + K r^2a is smallest at K just above -1 and r = 1: 2^-53, not 0
-        cf = ConformalFactor(1.0, _K_EDGE)
-        assert cf.psi(1.0) == math.log(2.0) - math.log(2.0**-53)
-        assert math.isfinite(cf.psi(1.0)) and math.isfinite(cf.dpsi(1.0))
+        g = CurvedDiskGeometry(1.0, _K_EDGE)
+        assert g.psi(1.0) == math.log(2.0) - math.log(2.0**-53)
+        assert math.isfinite(g.psi(1.0)) and math.isfinite(g.dpsi(1.0))
 
     @pytest.mark.parametrize(
         "call, what, a, K, r",
         [
-            (lambda: ConformalFactor(1e300, _K_EDGE).dpsi(1.0), "psi'", 1e300, _K_EDGE, 1.0),
-            (lambda: ConformalFactor(1e308, 0.5).psi(1e-300), "psi", 1e308, 0.5, 1e-300),
+            (lambda: CurvedDiskGeometry(1e300, _K_EDGE).dpsi(1.0), "psi'", 1e300, _K_EDGE, 1.0),
+            (lambda: CurvedDiskGeometry(1e308, 0.5).psi(1e-300), "psi", 1e308, 0.5, 1e-300),
         ],
     )
     def test_beyond_float_range_names_a_K_and_r(self, call, what, a, K, r):
@@ -90,19 +124,19 @@ class TestGradPsiSq:
 
     def test_flat_smooth_metric_is_zero(self):
         for r in (0.1, 0.5, 0.99):
-            assert ConformalFactor(1.0, 0.0).dpsi(r) == 0.0
+            assert CurvedDiskGeometry(1.0, 0.0).dpsi(r) == 0.0
 
     def test_zero_curvature_cone(self):
         for a in (0.5, 2.0, 3.0):
             for r in (0.2, 0.7):
                 want = (a - 1.0) / r
-                assert abs(ConformalFactor(a, 0.0).dpsi(r) - want) <= 1e-14 * abs(want)
+                assert abs(CurvedDiskGeometry(a, 0.0).dpsi(r) - want) <= 1e-14 * abs(want)
 
     def test_smooth_curved_metric(self):
         for K in (0.5, 2.0):
             for r in (0.3, 0.8):
                 want = -2.0 * K * r / (1.0 + K * r * r)
-                assert abs(ConformalFactor(1.0, K).dpsi(r) - want) <= 1e-14 * (1.0 + abs(want))
+                assert abs(CurvedDiskGeometry(1.0, K).dpsi(r) - want) <= 1e-14 * (1.0 + abs(want))
 
 
 class TestAnnulusOracle:
@@ -192,25 +226,35 @@ class TestAnnulusOracle:
             assert abs(got.total - annulus_ratio_closed_form(a, K)) <= 1e-10, (a, K)
 
     def test_integrand_is_dpsi_squared_times_r(self, monkeypatch):
-        # the integrand skips the checks of ConformalFactor.dpsi but keeps
-        # its arithmetic, bit for bit; d * d, since pow(d, 2) from the C
-        # library can differ from it in the last bit
+        # both oracles' integrands skip the checks of CurvedDiskGeometry.dpsi
+        # but keep its arithmetic, bit for bit: the annulus at its (a, K), the
+        # cap at (1, -1), which the record rejects; d * d, since pow(d, 2)
+        # from the C library can differ from it in the last bit.  r = 0 is
+        # left out: psi' divides by r, and no Gauss-Kronrod node lies on an
+        # end point
         seen = []
 
         def capture(f, points):
-            seen.append((f, points[0]))
+            seen.append((f, points[0], points[-1]))
             return 0.0, 0.0
 
         monkeypatch.setattr(PA, "adaptive_quadrature", capture)
         rng = random.Random(7)
-        for a, K in ((0.5, 2.0), (1.0, 5.0), (2.0, 10.0), (0.05, 1.5), (7.0, 1e6), (0.3, 1e4)):
+        cap_dpsi = functools.partial(_dpsi, 1.0, -1.0)
+        runs = [
+            *(
+                (functools.partial(pa_annulus_numeric, a, K), CurvedDiskGeometry(a, K).dpsi)
+                for a, K in ((0.5, 2.0), (1.0, 5.0), (2.0, 10.0), (0.05, 1.5), (7.0, 1e6), (0.3, 1e4))
+            ),
+            *((functools.partial(pa_disk_numeric, eta), cap_dpsi) for eta in (0.5, 1.0, 3.0, 7.5)),
+        ]
+        for run, dpsi in runs:
             seen.clear()
-            pa_annulus_numeric(a, K)
-            ((f, rho),) = seen
-            cf = ConformalFactor(a, K)
-            for r in [rho, 1.0, *(rng.uniform(rho, 1.0) for _ in range(300))]:
-                d = cf.dpsi(r)
-                assert f(r) == d * d * r, (a, K, r)
+            run()
+            ((f, lo, hi),) = seen
+            for r in [*(end for end in (lo, hi) if end > 0.0), *(rng.uniform(lo, hi) for _ in range(300))]:
+                d = dpsi(r)
+                assert f(r) == d * d * r, (run, r)
 
 
 class TestDiskOracle:

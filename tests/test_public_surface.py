@@ -18,7 +18,6 @@ MODULES = (conedet.determinants, conedet.pa_oracle, conedet.quadrature, conedet.
 ROOT_NAMES = [
     "BarnesArgs",
     "ConeGeometry",
-    "ConformalFactor",
     "CurvedDiskGeometry",
     "EvalResult",
     "IdentityReport",

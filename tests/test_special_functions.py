@@ -75,6 +75,8 @@ VALIDATION_CONTRACT = [
     (D.ConeGeometry, (1.0, 1.0), "eta", 1, (_BELOW_TINY, math.nextafter(700.0, 701.0))),
     (D.CurvedDiskGeometry, (1.0, 0.0), "a", 0, (_BELOW_TINY,)),
     (D.CurvedDiskGeometry, (1.0, 0.0), "K", 1, (-1.0,)),
+    (D.CurvedDiskGeometry(1.0, 0.5).psi, (0.5,), "r", 0, (_BELOW_TINY, 1.5)),
+    (D.CurvedDiskGeometry(1.0, 0.5).dpsi, (0.5,), "r", 0, (_BELOW_TINY, math.nextafter(1.0, 2.0))),
     (D.curvature_from_radius, (1.0,), "eta", 0, (_BELOW_TINY,)),
     (D.logdet_orbifold_cone, (2, 1.0), "w", 0, (0, 201, 2.0)),
     (D.logdet_orbifold_cone, (2, 1.0), "eta", 1, (_BELOW_TINY, 700.5)),
@@ -96,10 +98,6 @@ VALIDATION_CONTRACT = [
     (D.annulus_ratio_closed_form, (1.0, 2.0), "a", 0, (_BELOW_TINY,)),
     (D.annulus_ratio_closed_form, (1.0, 2.0), "K", 1, (1.0,)),
     (D.verify_identities, (1e-8,), "tol", 0, (0.0,)),
-    (PA.ConformalFactor, (1.0, 0.0), "a", 0, (_BELOW_TINY,)),
-    (PA.ConformalFactor, (1.0, 0.0), "K", 1, (-1.0,)),
-    (PA.ConformalFactor(1.0, 0.5).psi, (0.5,), "r", 0, (_BELOW_TINY, 1.5)),
-    (PA.ConformalFactor(1.0, 0.5).dpsi, (0.5,), "r", 0, (_BELOW_TINY, math.nextafter(1.0, 2.0))),
     (PA.pa_annulus_numeric, (1.0, 2.0), "a", 0, (_BELOW_TINY,)),
     (PA.pa_annulus_numeric, (1.0, 2.0), "K", 1, (1.0,)),
     (PA.pa_disk_numeric, (1.0,), "eta", 0, (_BELOW_TINY, 700.5, 8.0, 10.0, 20.0, 30.0, 36.0)),
@@ -810,8 +808,8 @@ class TestValidation:
         D.ConeGeometry(_TINY, 700.0)
         D.CurvedDiskGeometry(_TINY, math.nextafter(-1.0, 0.0))
         D.annulus_ratio_closed_form(1.0, math.nextafter(1.0, 2.0))
-        cf = PA.ConformalFactor(1.0, 0.5)
-        cf.psi(_TINY), cf.psi(1.0), cf.dpsi(1.0)
+        g = D.CurvedDiskGeometry(1.0, 0.5)
+        g.psi(_TINY), g.psi(1.0), g.dpsi(1.0)
 
     def test_barnes_args(self):
         with pytest.raises(ValueError):
