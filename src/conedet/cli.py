@@ -256,14 +256,17 @@ def _records(columns: list[str], rows: list[list], fmt: str) -> str:
     return _csv(columns, rows)
 
 
-def _evaluate_by_angle(evaluate: Callable[[dict], EvalResult], points: list[dict]) -> list[EvalResult]:
+def _evaluate_by_angle_or_order(
+    evaluate: Callable[[dict], EvalResult], points: list[dict]
+) -> list[EvalResult]:
     """evaluate at every point, returned in the order of points.  The points
-    are visited in a stable order sorted by the angle a (kinds without one
-    keep their order), so points sharing an angle come one after another and
-    hit the Barnes cache however many angles the grid has.  A failure raises
-    what evaluating in the order of points would have raised first."""
+    are visited in a stable order sorted by the angle a or the orbifold order
+    w (kinds with neither keep their order), so points sharing an angle or an
+    order come one after another and hit the Barnes cache or the last-order
+    log-gamma sum however many of them the grid has.  A failure raises what
+    evaluating in the order of points would have raised first."""
     results: list = [None] * len(points)
-    for i in sorted(range(len(points)), key=lambda i: points[i].get("a", 0.0)):
+    for i in sorted(range(len(points)), key=lambda i: points[i].get("a", points[i].get("w", 0.0))):
         try:
             results[i] = evaluate(points[i])
         except Exception:
@@ -280,7 +283,7 @@ def _cmd_points(args: argparse.Namespace, grids: list[tuple[str, list[float]]]) 
     array for table."""
     names, evaluate = _KINDS[args.kind]
     points = _points(args, names, grids)
-    results = _evaluate_by_angle(evaluate, points)
+    results = _evaluate_by_angle_or_order(evaluate, points)
     if args.format == "plain":
         (res,) = results
         return (

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import lru_cache
 
 from .quadrature import _ABS_TOL, adaptive_quadrature
 
@@ -590,6 +591,11 @@ def _barnes_a11_series(a: float) -> EvalResult:
     return _fsum_result(terms, "barnes-series", _BARNES_SERIES_NEXT * m**21, a=a)
 
 
+# Callers ask for one order in runs (the identity suite, asympt, a table
+# grouped by w), so the last order is kept.  A memo of all 200 orders would
+# also serve sweeps over distinct orders, which repeat none; it waits on
+# ROADMAP item 1, the peak-RSS reading that grows with sweep throughput.
+@lru_cache(maxsize=1)
 def _orbifold_gamma_sum(w: int) -> float:
     # sum_{j=1}^{w-1} j log Gamma(j/w)
     ww = float(w)

@@ -161,20 +161,44 @@ class TestTable:
             for a, K, v, e in rows
         ]
 
+    def test_one_gamma_sum_per_order(self, capsys):
+        # the inner w axis: points are visited grouped by order and printed
+        # in grid order, and the last-order memo computes each sum once
+        etas, orders = _parse_grid("0.01,1,5,log"), range(1, 13)
+        SF._orbifold_gamma_sum.cache_clear()
+        rc, out, _ = run(capsys, ["table", "orbifold", "--grid", "eta=0.01,1,5,log", "--grid", "w=1,12,12"])
+        assert rc == 0 and SF._orbifold_gamma_sum.cache_info().misses == len(orders)
+        rows = [(eta, w, logdet_orbifold_cone(w, eta)) for eta in etas for w in orders]
+        # columns keep the kind's parameter order, w first
+        assert out == "w,eta,value,abs_err\n" + "".join(
+            f"{w},{eta:.17g},{res.value:.17g},{res.abs_err:.17g}\n" for eta, w, res in rows
+        )
+
     def test_failure_is_the_first_in_grid_order(self, capsys):
-        # grouped by angle, (750, 1) would come before (600, 1e308); the
-        # error must still be the one grid order meets first
-        argv = ["table", "hyperbolic", "--grid", "eta=600,750,2", "--grid", "a=1,1e308,2"]
-        first = None
-        for eta in (600.0, 750.0):
-            for a in (1.0, 1e308):
-                try:
-                    logdet_hyperbolic_cone(ConeGeometry(a, eta))
-                except ValueError as exc:
-                    first = first or exc
-        rc, out, err = run(capsys, argv)
-        assert rc == 1 and out == ""
-        assert err == f"error: {first}\n" and "750" not in err
+        # grouped by angle, (750, 1) would come before (600, 1e308), and
+        # grouped by order, (800, 150) before (1, 250); the error must still
+        # be the one grid order meets first
+        cases = [
+            (
+                "hyperbolic",
+                lambda eta, a: logdet_hyperbolic_cone(ConeGeometry(a, eta)),
+                "600,750,2",
+                "a=1,1e308,2",
+                "750",
+            ),
+            ("orbifold", lambda eta, w: logdet_orbifold_cone(int(w), eta), "1,800,2", "w=150,250,2", "800"),
+        ]
+        for kind, evaluate, etas, inner, later in cases:
+            first = None
+            for eta in _parse_grid(etas):
+                for x in _parse_grid(inner.split("=")[1]):
+                    try:
+                        evaluate(eta, x)
+                    except ValueError as exc:
+                        first = first or exc
+            rc, out, err = run(capsys, ["table", kind, "--grid", f"eta={etas}", "--grid", inner])
+            assert rc == 1 and out == ""
+            assert err == f"error: {first}\n" and later not in err, kind
 
     def test_grid_errors(self, capsys):
         bad = [

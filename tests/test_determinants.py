@@ -486,6 +486,16 @@ class TestVerifyIdentities:
         verify_identities()
         assert len(calls) == 9
 
+    def test_one_gamma_sum_per_run_of_one_order(self):
+        # the orbifold loops ask for one order several times in a row; the
+        # last-order memo computes its log-gamma sum once per run, 17 runs
+        verify_identities()
+        misses = SF._orbifold_gamma_sum.cache_info().misses
+        warm = verify_identities()
+        assert SF._orbifold_gamma_sum.cache_info().misses - misses == 17
+        SF._orbifold_gamma_sum.cache_clear()
+        assert verify_identities() == warm
+
     def test_mutation_is_detected(self, monkeypatch):
         # a perturbed constant must break at least one identity
         monkeypatch.setattr(determinants, "LOG_2PI", LOG_2PI + 0.03)

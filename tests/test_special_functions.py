@@ -398,6 +398,27 @@ class TestBarnes:
         for w, want in refs:
             assert abs(barnes_zeta_prime0_orbifold(w) - want) <= 2e-13 * (1.0 + abs(want)), w
 
+    def test_orbifold_memo_serves_only_its_order(self):
+        # the log-gamma sum keeps the last order it computed; interleaved
+        # orders must each get their own sum, bit for bit
+        for w in (5, 5, 7, 5, 200, 1, 1, 200):
+            assert SF._orbifold_gamma_sum(w).hex() == SF._orbifold_gamma_sum.__wrapped__(w).hex(), w
+
+    def test_orbifold_values_do_not_depend_on_the_memo(self):
+        closed_forms = (
+            barnes_zeta_prime0_orbifold,
+            lambda w: D.logdet_orbifold_cone(w, 0.7).value,
+            lambda w: D.small_eta_asymptotics(w, 0.01),
+        )
+        for w in range(1, 201):
+            # the first fills the memo, the other two read it
+            warm = [f(w).hex() for f in closed_forms]
+            cold = []
+            for f in closed_forms:
+                SF._orbifold_gamma_sum.cache_clear()
+                cold.append(f(w).hex())
+            assert warm == cold, w
+
     def test_orbifold_w1_is_stored_constant(self):
         assert barnes_zeta_prime0_orbifold(1) == riemann_zeta_prime_minus1()
 
