@@ -270,9 +270,11 @@ def _evaluate_by_angle_or_order(
         try:
             results[i] = evaluate(points[i])
         except Exception:
-            # evaluation is deterministic, so no point after i fails first
-            for point in points[:i]:
-                evaluate(point)
+            # evaluation is deterministic, so no point after i fails first,
+            # and none that already has a result fails at all
+            for point, res in zip(points[:i], results):
+                if res is None:
+                    evaluate(point)
             raise
     return results
 

@@ -2,14 +2,16 @@
 
 A 12-point Gauss rule embedded in a 25-point Kronrod rule gives a value
 and a per-interval error estimate; the interval with the worst estimate
-is bisected until the summed estimate drops below the absolute tolerance.
+is bisected until the exact sum of the estimates is within the absolute
+tolerance, or within the rounding of the value.
 The rule is one table, _NODES, of (abscissa, Kronrod weight, Gauss weight)
 for the twelve symmetric node pairs, built once from the tabulated nodes
 and weights; a Kronrod-only node carries Gauss weight 0.0, and the centre,
 a Kronrod-only node too, is weighted apart.
 
 This module owns the one budget of every quadrature in the package:
-absolute tolerance _ABS_TOL = 1e-12 and at most _MAX_SUBDIVISIONS = 400
+absolute tolerance _ABS_TOL = 1e-12, or _EPS = 2^-52 times the summed
+|panel values| where that is larger, and at most _MAX_SUBDIVISIONS = 400
 bisections.  No caller can change it; README, Accuracy, says which inputs
 fail to meet it.  Everything is plain float arithmetic, so a given
 integrand and breakpoints always produce bitwise identical results.
@@ -25,7 +27,8 @@ __all__ = ["QuadratureError", "adaptive_quadrature"]
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the subdivision limit is hit before the tolerance."""
+    """Raised when the estimate is not finite, or the tolerance is not met
+    before the subdivision limit or the float resolution."""
 
 
 _ABS_TOL = 1e-12
@@ -99,14 +102,13 @@ def _gk25(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
 def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) -> tuple[float, float]:
     """Integrate f over [points[0], points[-1]] seeded at the given breakpoints.
 
-    Returns (value, error_estimate).  Raises QuadratureError if the
-    estimate cannot be brought below _ABS_TOL within _MAX_SUBDIVISIONS
-    bisections, or if the integrand produces non-finite values.  The loop
-    keeps a running total of the estimates and stops when it reaches
-    _ABS_TOL, once their exact sum confirms it: that sum must be below
-    _ABS_TOL too, or below _EPS times the summed |panel values|, the
-    rounding of the value, which no bisection gets under.  The returned
-    estimate is that exact sum.
+    Returns (value, error_estimate).  Before every bisection the loop takes
+    the exact sum of the panel estimates, and stops once it is at most
+    _ABS_TOL, or at most _EPS times the summed |panel values|: the rounding
+    of the value, which no bisection gets under.  The returned estimate is
+    that sum.  Raises QuadratureError if the sum is not finite, if it is
+    still too large after _MAX_SUBDIVISIONS bisections, or if the panel to
+    bisect has no float strictly inside it.
     """
     if len(points) < 2:
         raise ValueError("need at least two breakpoints")
@@ -116,24 +118,30 @@ def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) ->
             raise ValueError("breakpoints must be strictly increasing")
 
     heap: list[tuple[float, float, float, float]] = []
-    total_err = 0.0
     for lo, hi in zip(pts, pts[1:]):
         val, err = _gk25(f, lo, hi)
         heapq.heappush(heap, (-err, lo, hi, val))
-        total_err += err
 
     splits = 0
-    # "not <=" lets a nan total in, to raise below: an infinite value at a
-    # Kronrod-only node adds 0.0 * inf = nan to that panel's Gauss sum
-    while not total_err <= _ABS_TOL:
-        if not math.isfinite(total_err):
+    while True:
+        # fsum is correctly rounded, so the order of the terms does not
+        # matter; it raises OverflowError where finite terms sum past the
+        # float range, and an infinite value makes its panel's estimate
+        # inf or nan, through the Kronrod sum or 0.0 * inf in the Gauss sum
+        try:
+            err = math.fsum(-seg[0] for seg in heap)
+            scale = math.fsum(abs(seg[3]) for seg in heap)
+        except OverflowError:
+            err = math.inf
+        if not math.isfinite(err):
             raise QuadratureError("integrand produced a non-finite value")
+        if err <= _ABS_TOL or err <= _EPS * scale:
+            break
         if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"error estimate {total_err:.3e} above abs_tol {_ABS_TOL:.3e} "
-                f"after {splits} subdivisions"
+                f"error estimate {err:.3e} above abs_tol {_ABS_TOL:.3e} after {splits} subdivisions"
             )
-        neg_err, lo, hi, _val = heapq.heappop(heap)
+        _neg_err, lo, hi, _val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             raise QuadratureError("interval too narrow to bisect further")
@@ -141,19 +149,7 @@ def adaptive_quadrature(f: Callable[[float], float], points: Sequence[float]) ->
         v2, e2 = _gk25(f, mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-        total_err += e1 + e2 + neg_err
         splits += 1
-        if total_err <= _ABS_TOL:
-            # adding and subtracting estimates cancels where they are huge, so
-            # stop only if their exact sum is below abs_tol too, or below the
-            # rounding of the panel values, under which no bisection goes
-            total_err = math.fsum(-seg[0] for seg in heap)
-            if total_err <= _EPS * math.fsum(abs(seg[3]) for seg in heap):
-                break
 
-    # fsum is correctly rounded, so the order of the terms does not matter
-    value = math.fsum(seg[3] for seg in heap)
-    err = math.fsum(-seg[0] for seg in heap)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError("integrand produced a non-finite value")
-    return value, err
+    # each |value| is at most its term of scale, so this sum is finite
+    return math.fsum(seg[3] for seg in heap), err

@@ -200,6 +200,25 @@ class TestTable:
             assert rc == 1 and out == ""
             assert err == f"error: {first}\n" and later not in err, kind
 
+    def test_failure_replays_only_points_without_a_result(self, capsys, count_evals):
+        # the table fails at (700, 5.35e4), after every window angle of both
+        # rows has been integrated once; replaying the grid up to it must not
+        # integrate them again, though 2,000 angles overflow the Barnes cache
+        angles = _parse_grid("0.126,1e5,2000,log")
+        first = None
+        for eta in (1.0, 700.0):
+            for a in angles:
+                try:
+                    logdet_hyperbolic_cone(ConeGeometry(a, eta))
+                except ValueError as exc:
+                    first = first or exc
+        calls = count_evals(SF)
+        determinants._barnes_a11.cache_clear()
+        rc, out, err = run(capsys, ["table", "hyperbolic", "--grid", "eta=1,700,2", "--grid", "a=0.126,1e5,2000,log"])
+        assert rc == 1 and out == ""
+        assert err == f"error: {first}\n" and "a = 53515.709269912135, eta = 700.0" in err
+        assert len(calls) == sum(0.125 < a < 8.0 for a in angles) == 611
+
     def test_grid_errors(self, capsys):
         bad = [
             (

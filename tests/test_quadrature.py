@@ -156,9 +156,10 @@ def test_budget_exhaustion_raises():
 
 def test_cancelled_running_total_does_not_stop_the_loop():
     # the centre Kronrod node of [0, 1] sees a spike of 1e30 that no node of
-    # its halves sees, so the running total of the estimates drops by about
-    # 6e28 at once and loses the 5e-5 estimate of [1, 2], which the 1e30
-    # spike had absorbed; the call returned (0.66666951, 5.0e-5)
+    # its halves sees, so a running total of the estimates would drop by
+    # about 6e28 at once and lose the 5e-5 estimate of [1, 2], which the
+    # 1e30 spike had absorbed; a loop stopped by such a total returned
+    # (0.66666951, 5.0e-5)
     def f(y):
         if y == 0.5:
             return 1e30
@@ -171,10 +172,9 @@ def test_cancelled_running_total_does_not_stop_the_loop():
 
 def test_cancelled_total_may_stop_at_the_rounding_of_the_value():
     # the Barnes integrand at (a, b, x) = (2.97e-103, 3.17e125, 1.02e-199)
-    # with its unit shifts left in: its estimates reach 1e208, and their
-    # running total cancels below abs_tol.  Their exact sum, 3.3e208, is
-    # still far above abs_tol, but below 2^-52 |value|, where no bisection
-    # can reach, so the call returns it as its error
+    # with its unit shifts left in: its estimates reach 1e208.  Their exact
+    # sum, 3.3e208, is far above abs_tol, but below 2^-52 |value|, where no
+    # bisection can reach, so the call returns it as its error
     p, s = 1.02e-199 / 2.97e-103, 3.17e125 / 2.97e-103
 
     def f(y):
@@ -219,12 +219,41 @@ def test_opposite_infinities_at_kronrod_only_nodes_raise():
         adaptive_quadrature(f, (0.0, 1.0, 2.0))
 
 
-def test_jump_at_irrational_point_runs_out_of_floats():
+def test_jump_at_irrational_point_stops_at_the_rounding_of_the_value():
     # bisection never lands on sqrt(2), so the panel holding the jump keeps
-    # an error estimate above the tolerance until its ends are adjacent floats
+    # an estimate above abs_tol until the summed estimates fall to the
+    # rounding of the 2.9e9 value; the exact integral takes the float ends
+    mpmath.mp.dps = 40
     root2 = math.sqrt(2.0)
+    val, err = adaptive_quadrature(lambda x: 1e10 if x > root2 else 0.0, (0.3, 1.7))
+    want = mpmath.mpf(1e10) * (mpmath.mpf(1.7) - mpmath.mpf(root2))
+    assert abs(mpmath.mpf(val) - want) <= 4 * math.ulp(val)
+    assert 1e-12 < err <= 2.0**-52 * abs(val)
+
+
+def test_panel_with_no_float_inside_raises():
+    # a step of 1e20 at 1 + ulp, the one float inside (1, 1 + 2 ulp): the
+    # halves have adjacent ends, and the estimate of the one that holds the
+    # step stays far above the rounding of the value
+    hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
     with pytest.raises(QuadratureError, match=r"^interval too narrow to bisect further$"):
-        adaptive_quadrature(lambda x: 1e10 if x > root2 else 0.0, (0.3, 1.7))
+        adaptive_quadrature(lambda t: 1e20 * ((t - 1.0) * 2**52 % 2), (1.0, hi))
+
+
+def test_panel_values_past_the_float_range_raise():
+    # each panel value is finite, 5e307, but four of them sum past the
+    # float range, where fsum raises a bare OverflowError
+    with pytest.raises(QuadratureError, match=r"^integrand produced a non-finite value$"):
+        adaptive_quadrature(lambda y: 5e307, (0.0, 1.0, 2.0, 3.0, 4.0))
+
+
+def test_budget_error_reports_the_exact_sum():
+    # the panels next to sqrt(2) have estimates up to about 1e300, which a
+    # running total of added and subtracted estimates left as 6.6e268; the
+    # exact sum of the estimates left after 400 bisections is 2.5e-5
+    root2 = math.sqrt(2.0)
+    with pytest.raises(QuadratureError, match=r"^error estimate 2\.466e-05 above abs_tol 1\.000e-12 after 400 subdivisions$"):
+        adaptive_quadrature(lambda x: 1.0 / (abs(x - root2) + 1e-300), (0.3, 1.7))
 
 
 @given(
