@@ -5,7 +5,9 @@ Everything here is self-contained double-precision scalar code:
 * log-gamma (real, and the imaginary part along vertical lines) from the
   Stirling series after shifting the argument to Re z >= 10; one Horner
   evaluator, _stirling, sums that series for real and complex z alike, and
-  Binet's function mu(z) is the same series plus its unit shifts,
+  Binet's function mu(z) is the same series plus its unit shifts.  Real
+  log-gamma multiplies its unit-shift factors into one product and takes
+  a single logarithm of it,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
@@ -334,14 +336,26 @@ def _binet(z: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0.  Raises a ValueError naming x where the value
-    overflows, from about x = 2.6e305 up."""
+    """log Gamma(x) for x > 0, from the Stirling series at y = x + n >= 10
+    less log(x (x + 1) ... (x + n - 1)).  The unit-shift factors are
+    multiplied into one product, which takes a single logarithm.  Below
+    x = 1 the first factor, x itself, takes its own logarithm, so every
+    factor of the product lies in [1, 10) and the product below 10!.
+    Raises a ValueError naming x where the value overflows, from about
+    x = 2.6e305 up."""
     x = _real("x", x, 0.0, open_lo=True)
     y = x
     shift = 0.0
-    while y < _STIRLING_EDGE:
-        shift += math.log(y)
+    if y < 1.0:
+        shift = math.log(y)
         y += 1.0
+    elif y == 1.0 or y == 2.0:  # Gamma(1) = Gamma(2) = 1; the series misses by an ULP
+        return 0.0
+    product = 1.0
+    while y < _STIRLING_EDGE:
+        product *= y
+        y += 1.0
+    shift += math.log(product)
     value = (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _stirling(y) - shift
     if value < math.inf:  # the inline test spares the hot path a call
         return value

@@ -163,6 +163,19 @@ class TestAsymptotics:
         res1 = logdet_orbifold_cone(1, 1e-3).value - small_eta_asymptotics(1, 1e-3)
         assert abs(res1) <= 1e-5
 
+    def test_residual_is_the_eta_squared_term(self):
+        # c2 from log tanh(eta/2) and cosh eta through eta^2; what is left
+        # is O(eta^4): at most 2.7e-12 over these points, while c2 eta^2
+        # itself is up to 3.1e-7, far above verify's 1e-10
+        for w in range(1, 201):
+            c2 = (w + 1.0 / w) / 72.0 - 1.0 / (3.0 * w)
+            for eta in (1e-3, 2e-3):
+                res = logdet_orbifold_cone(w, eta).value - small_eta_asymptotics(w, eta)
+                assert abs(res - c2 * eta * eta) <= 1e-11, (w, eta)
+        report = {r.identity_name: r for r in verify_identities()}["asymptotics-residual"]
+        assert report.tolerance == 1e-10
+        assert report.abs_diff <= 1e-13
+
     def test_residual_quadratic_decay(self):
         for w in range(1, 6):
             r1 = logdet_orbifold_cone(w, 1e-3).value - small_eta_asymptotics(w, 1e-3)

@@ -113,6 +113,17 @@ class TestLogGamma:
         (1e-6, 13.81550998074943166921),
         (12.375, 18.42435098980361188338),
         (1e6, 12815504.56914761165997697),
+        # subnormal and tiny x, whose first factor takes its own logarithm
+        (5e-324, 744.4400719213812623141072984460816341131),
+        (1e-310, 713.8013788281541651006446006623883741382),
+        (1e-300, 690.7755278982137051803383445701005029086),
+        # next to the zeros at 1 and 2, and to the Stirling edge at 10
+        (0.999999, 5.772164873855652379393149122960713661920e-7),
+        (1.0 + 1e-9, -5.772157118381039519200807143199629365843e-10),
+        (9.999999999, 12.80182747782971683588273532592064209394),
+        # the ends of the orbifold sum at w = 200
+        (1 / 200, 5.295451799982127860334506343218385627367),
+        (199 / 200, 0.002906690255811313798292806270789426864338),
     ]
 
     def test_frozen_values(self):
