@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conedet.determinants as determinants
+import conedet.pa_oracle as pa_oracle
 import conedet.special_functions as SF
 from conedet.determinants import (
     ConeGeometry,
@@ -26,7 +27,8 @@ from conedet.determinants import (
     zeta_prime0_spindle,
     zeta_prime0_unit_disk_cone,
 )
-from conedet.special_functions import LOG_2PI, riemann_zeta_prime_minus1
+from conedet.pa_oracle import PAIntegralBreakdown
+from conedet.special_functions import LOG_2PI, EvalResult, riemann_zeta_prime_minus1
 
 ZP1 = riemann_zeta_prime_minus1()
 
@@ -295,6 +297,10 @@ class TestUnitDiskCone:
             up = zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, 1e-8)).value
             dn = zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, -1e-8)).value
             assert abs(up - dn) <= 1e-7, a
+            # zeta' is smooth in K, so the value at K = 0 is the mean of its
+            # neighbours to rounding: what verify's curvature-continuity holds
+            zero = zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, 0.0)).value
+            assert abs(zero - 0.5 * (up + dn)) <= 1e-14, a
 
     def test_zeta0_values(self):
         assert abs(zeta0_unit_disk_cone(1.0) - 1.0 / 6.0) <= 1e-15
@@ -479,9 +485,20 @@ class TestVerifyIdentities:
         failed = {r.identity_name for r in reports if not r.passed}
         assert "barnes-bridge" in failed
         assert "disk-cone-reconstruction" in failed
-        # fixed-tolerance identities are immune to the global knob
-        assert "pa-annulus-dual-oracle" not in failed
+        # the anomaly oracles agree with their closed forms to rounding, so
+        # they are held to the global knob like every other such identity
+        assert "pa-annulus-dual-oracle" in failed
+        assert "pa-disk-consistency" in failed
+        # only the asymptotic identities, whose residuals are remainders of
+        # an expansion, keep a tolerance of their own
         assert "asymptotics-residual" not in failed
+        assert "asymptotics-ratio" not in failed
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-12])
+    def test_one_tolerance_rule(self, tol):
+        own = {"asymptotics-residual": 1e-10, "asymptotics-ratio": 0.05}
+        for r in verify_identities(tol=tol):
+            assert r.tolerance == own.get(r.identity_name, tol), r
 
     def test_tol_validation(self):
         for bad in (0.0, -1e-8, math.nan, math.inf):
@@ -514,6 +531,65 @@ class TestVerifyIdentities:
         monkeypatch.setattr(determinants, "LOG_2PI", LOG_2PI + 0.03)
         reports = verify_identities()
         assert any(not r.passed for r in reports)
+
+
+# One route at a time, shifted by 5e-8: five times the default tol, so a
+# route fails every identity it feeds, while a looser tolerance on one
+# identity, such as 1e-7, would hide the shift.  Each row is a route, how it
+# is shifted, and the exact set of identities that then fail.  A change that
+# merges two routes, or stops an identity using one, changes a row, and must
+# say so.
+ROUTE_SHIFT = 5e-8
+
+
+def _plus(f):
+    return lambda *args: f(*args) + ROUTE_SHIFT
+
+
+def _plus_value(f):
+    def shifted(*args):
+        r = f(*args)
+        return EvalResult(r.value + ROUTE_SHIFT, r.abs_err, r.formula_tag)
+
+    return shifted
+
+
+def _plus_area(f):
+    def shifted(*args):
+        b = f(*args)
+        return PAIntegralBreakdown(b.area_term + ROUTE_SHIFT, b.boundary_curvature_terms, b.boundary_normal_terms)
+
+    return shifted
+
+
+ROUTE_TABLE = [
+    (determinants, "_barnes_a11", _plus_value, {"a1-poincare-cap", "barnes-bridge", "flat-limit", "orbifold-equality"}),
+    (determinants, "_orbifold_gamma_sum", _plus, {"orbifold-equality"}),
+    (determinants, "logdet_poincare_cap", _plus, {"a1-poincare-cap", "pa-disk-consistency"}),
+    (determinants, "logdet_flat_disk", _plus, {"flat-limit", "pa-disk-consistency"}),
+    (determinants, "annulus_ratio_closed_form", _plus, {"annulus-composition", "pa-annulus-dual-oracle"}),
+    (pa_oracle, "pa_annulus_numeric", _plus_area, {"grad-quadrature-agreement", "pa-annulus-dual-oracle"}),
+    (pa_oracle, "pa_disk_numeric", _plus_area, {"pa-disk-consistency"}),
+    (determinants, "LOG_2PI", lambda v: v + ROUTE_SHIFT, {"bfk-gluing", "orbifold-equality"}),
+    # the fp-discrepancy identities compare the reference with itself at two
+    # radii, so a constant shift cancels; the reference is pinned only by
+    # TestAsymptotics.test_fp_discrepancy_frozen_values
+    (determinants, "fp_asymptotics_reference", _plus, set()),
+]
+
+
+@pytest.mark.parametrize("module, name, shift, fails", ROUTE_TABLE, ids=[row[1] for row in ROUTE_TABLE])
+def test_each_route_feeds_exactly_these_identities(monkeypatch, module, name, shift, fails):
+    clean = verify_identities()
+    sizes = determinants._barnes_a11.cache_info().currsize, SF._orbifold_gamma_sum.cache_info().currsize
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, shift(getattr(module, name)))
+        failed = {r.identity_name for r in verify_identities() if not r.passed}
+    assert failed == fails
+    # the shifts wrap the cached functions, so neither cache holds a
+    # shifted value afterwards: a warm run reads the caches
+    assert (determinants._barnes_a11.cache_info().currsize, SF._orbifold_gamma_sum.cache_info().currsize) == sizes
+    assert verify_identities() == clean
 
 
 class TestProperties:
