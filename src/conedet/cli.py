@@ -97,10 +97,15 @@ _KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
             zeta_prime0_unit_disk_cone(CurvedDiskGeometry(p["a"], p["K"])), "disk-cone-logdet"
         ),
     ),
-    "flatdisk": (("r",), lambda p: _fsum_result((logdet_flat_disk(p["r"]),), "flat-disk-logdet", **p)),
+    "flatdisk": (
+        ("r",),
+        lambda p: _fsum_result((logdet_flat_disk(p["r"]),), "flat-disk-logdet", 0.0, ("r",), (p["r"],)),
+    ),
     "poincarecap": (
         ("eta",),
-        lambda p: _fsum_result((logdet_poincare_cap(p["eta"]),), "poincare-cap-logdet", **p),
+        lambda p: _fsum_result(
+            (logdet_poincare_cap(p["eta"]),), "poincare-cap-logdet", 0.0, ("eta",), (p["eta"],)
+        ),
     ),
 }
 

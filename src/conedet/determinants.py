@@ -97,11 +97,11 @@ class CurvedDiskGeometry(_Record):
     def psi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
         # 1 + K r^2a >= 1 + K >= 2^-53, since K > -1 and r <= 1
-        return _finite(pa_oracle._psi(self.a, self.K, r), "psi", a=self.a, K=self.K, r=r)
+        return _finite(pa_oracle._psi(self.a, self.K, r), "psi", ("a", "K", "r"), (self.a, self.K, r))
 
     def dpsi(self, r: float) -> float:
         r = _real("r", r, _TINY, 1.0)
-        return _finite(pa_oracle._dpsi(self.a, self.K, r), "psi'", a=self.a, K=self.K, r=r)
+        return _finite(pa_oracle._dpsi_at(self.a, self.K)(r), "psi'", ("a", "K", "r"), (self.a, self.K, r))
 
 
 class IdentityReport(_Record):
@@ -179,7 +179,7 @@ def logdet_hyperbolic_cone(g: ConeGeometry) -> EvalResult:
         -(a + 3.0 + inv_a) / 6.0 * math.log(a),
         -0.5 * LOG_2PI,
     )
-    return _fsum_result(terms, "hyperbolic-cone", 2.0 * bz.abs_err, a=a, eta=eta)
+    return _fsum_result(terms, "hyperbolic-cone", 2.0 * bz.abs_err, ("a", "eta"), (a, eta))
 
 
 def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
@@ -196,7 +196,7 @@ def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
         -0.5 * ww * LOG_2PI,
         (ww + 3.0 + 2.0 / ww) / 6.0 * math.log(ww),
     )
-    return _fsum_result(terms, "orbifold-cone", w=w, eta=eta)
+    return _fsum_result(terms, "orbifold-cone", 0.0, ("w", "eta"), (w, eta))
 
 
 def small_eta_asymptotics(w: int, eta: float) -> float:
@@ -256,7 +256,7 @@ def zeta_prime0_spindle(a: float, K: float) -> EvalResult:
         (a + inv_a) / 3.0 * (math.log(a) - 0.5 * math.log(K)),
         math.log(K),
     )
-    return _fsum_result(terms, "spindle-zeta-prime0", 4.0 * bz.abs_err, a=a, K=K)
+    return _fsum_result(terms, "spindle-zeta-prime0", 4.0 * bz.abs_err, ("a", "K"), (a, K))
 
 
 def zeta0_spindle(a: float) -> float:
@@ -279,7 +279,7 @@ def zeta_prime0_spherical_cone(a: float, K: float) -> EvalResult:
         -(a + inv_a) / 12.0 * math.log(K),
         0.5 * LOG_2PI,
     )
-    return _fsum_result(terms, "spherical-cone-zeta-prime0", 2.0 * bz.abs_err, a=a, K=K)
+    return _fsum_result(terms, "spherical-cone-zeta-prime0", 2.0 * bz.abs_err, ("a", "K"), (a, K))
 
 
 def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry) -> EvalResult:
@@ -297,7 +297,7 @@ def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry) -> EvalResult:
         4.0 / 3.0 * a / (K + 1.0),
         0.5 * LOG_2PI,
     )
-    return _fsum_result(terms, "disk-cone-zeta-prime0", 2.0 * bz.abs_err, a=a, K=K)
+    return _fsum_result(terms, "disk-cone-zeta-prime0", 2.0 * bz.abs_err, ("a", "K"), (a, K))
 
 
 def zeta0_unit_disk_cone(a: float) -> float:
@@ -340,7 +340,8 @@ def rescale_logdet(logdet: float, zeta0: float, C: float) -> float:
     logdet(C^{-1} D) = logdet(D) - zeta(0, D) log C."""
     C = _real("C", C, _TINY)
     logdet, zeta0 = _real("logdet", logdet), _real("zeta0", zeta0)
-    return _finite(logdet - zeta0 * math.log(C), "logdet - zeta0 log C", logdet=logdet, zeta0=zeta0, C=C)
+    value = logdet - zeta0 * math.log(C)
+    return _finite(value, "logdet - zeta0 log C", ("logdet", "zeta0", "C"), (logdet, zeta0, C))
 
 
 def annulus_ratio_closed_form(a: float, K: float) -> float:
@@ -350,7 +351,7 @@ def annulus_ratio_closed_form(a: float, K: float) -> float:
     a = _real("a", a, _TINY)
     K = _real("K", K, 1.0, open_lo=True)
     value = 2.0 * a / 3.0 - 4.0 / 3.0 * a / (K + 1.0) - (a - 1.0 / a) / 12.0 * math.log(K)
-    return _finite(value, "the annulus ratio", a=a, K=K)
+    return _finite(value, "the annulus ratio", ("a", "K"), (a, K))
 
 
 def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
@@ -362,11 +363,13 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
     reported, never raised."""
     tol = _real("tol", tol, 0.0, open_lo=True)
 
-    worst: dict[str, tuple[float, float, float]] = {}
+    # name -> (|lhs - rhs|, lhs, rhs, tolerance) at the worst point so far
+    worst: dict[str, tuple[float, float, float, float]] = {}
 
     def record(name: str, lhs: float, rhs: float, own_tol: float = tol) -> None:
-        if name not in worst or abs(lhs - rhs) > abs(worst[name][0] - worst[name][1]):
-            worst[name] = (lhs, rhs, own_tol)
+        diff = abs(lhs - rhs)
+        if name not in worst or diff > worst[name][0]:
+            worst[name] = (diff, lhs, rhs, own_tol)
 
     a_grid = (0.2, 0.5, 1.0, 2.0, 5.0)
     eta_grid = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -490,4 +493,4 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
             logdet_poincare_cap(eta) - logdet_flat_disk(math.tanh(0.5 * eta)),
         )
 
-    return [IdentityReport(name, *worst[name]) for name in sorted(worst)]
+    return [IdentityReport(name, lhs, rhs, own_tol) for name, (_, lhs, rhs, own_tol) in sorted(worst.items())]

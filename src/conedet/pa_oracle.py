@@ -17,6 +17,7 @@ form because psi is radial.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .quadrature import adaptive_quadrature
 from .special_functions import _TINY, _real, _Record, _set
@@ -48,9 +49,19 @@ def _psi(a: float, K: float, r: float) -> float:
     return (a - 1.0) * math.log(r) + math.log(2.0 * a) - math.log(1.0 + K * r ** (2.0 * a))
 
 
-def _dpsi(a: float, K: float, r: float) -> float:
-    # psi'(r) of CurvedDiskGeometry(a, K), unchecked
-    return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / (1.0 + K * r ** (2.0 * a))
+def _dpsi_at(a: float, K: float) -> Callable[[float], float]:
+    # psi'(r) of CurvedDiskGeometry(a, K), unchecked, as a function of r;
+    # its r-free factors are taken once, and each call makes the operations
+    # of (a - 1) / r - 2 a K r^(2a-1) / (1 + K r^2a) in the same order
+    a_minus_1 = a - 1.0
+    two_a_K = 2.0 * a * K
+    two_a_minus_1 = 2.0 * a - 1.0
+    two_a = 2.0 * a
+
+    def dpsi(r: float) -> float:
+        return a_minus_1 / r - two_a_K * r**two_a_minus_1 / (1.0 + K * r**two_a)
+
+    return dpsi
 
 
 class PAIntegralBreakdown(_Record):
@@ -89,8 +100,10 @@ def _area_term(a: float, K: float, seeds: tuple[float, ...]) -> float:
     # -(1/6) * integral of psi'(r)^2 r dr over the seed panels, psi' unchecked:
     # no Gauss-Kronrod node lies on an end point, so every node has r > 0,
     # and the callers' radii keep 1 + K r^2a > 0
+    dpsi = _dpsi_at(a, K)
+
     def integrand(r: float) -> float:
-        d = _dpsi(a, K, r)
+        d = dpsi(r)
         return d * d * r
 
     raw, _ = adaptive_quadrature(integrand, seeds)

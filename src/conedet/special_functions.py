@@ -267,10 +267,15 @@ _set_abs_err = EvalResult.abs_err.__set__
 _set_formula_tag = EvalResult.formula_tag.__set__
 
 
-def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params: float) -> EvalResult:
+def _fsum_result(
+    terms: tuple[float, ...], tag: str, err: float, names: tuple[str, ...], values: tuple[float, ...]
+) -> EvalResult:
     """The exactly rounded sum of terms, its error bar being err plus the
     rounding floor 2e-14 * (1 + sum of |term|).  Raises a ValueError that
-    names params, the inputs the terms came from, when either is not finite.
+    names the inputs the terms came from when either is not finite: names
+    is a constant tuple of their names and values the tuple of their
+    values, in the same order, so a call builds no dict that only the
+    error path reads.
 
     Every result the package computes is built here.  It enforces the
     invariants EvalResult(...) validates, a finite value and a finite
@@ -290,20 +295,21 @@ def _fsum_result(terms: tuple[float, ...], tag: str, err: float = 0.0, **params:
         _set_abs_err(result, abs_err)
         _set_formula_tag(result, tag)
         return result
-    _finite(abs_err + 0.0 * value, f"the {tag} result", **params)
+    _finite(abs_err + 0.0 * value, f"the {tag} result", names, values)
     return EvalResult(value, abs_err, tag)
 
 
-def _finite(value: float, what: str, /, **params: float) -> float:
-    """value if it is finite.  Otherwise a ValueError saying that params,
-    the inputs, put what beyond the float range; the one place that
-    decides a result left the float range."""
+def _finite(value: float, what: str, names: tuple[str, ...], values: tuple[float, ...]) -> float:
+    """value if it is finite.  Otherwise a ValueError saying that the
+    inputs put what beyond the float range; names is a constant tuple of
+    the inputs' names and values the tuple of their values, in the same
+    order.  The one place that decides a result left the float range."""
     if math.isfinite(value):
         return value
-    *init, last = params
-    names = f"{', '.join(init)} and {last}" if init else last
-    got = ", ".join(f"{k} = {v!r}" for k, v in params.items())
-    raise ValueError(f"{names} put {what} beyond the float range, got {got}")
+    *init, last = names
+    listed = f"{', '.join(init)} and {last}" if init else last
+    got = ", ".join(f"{k} = {v!r}" for k, v in zip(names, values))
+    raise ValueError(f"{listed} put {what} beyond the float range, got {got}")
 
 
 def _stirling(z: float | complex) -> float | complex:
@@ -359,7 +365,7 @@ def log_gamma(x: float) -> float:
     value = (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _stirling(y) - shift
     if value < math.inf:  # the inline test spares the hot path a call
         return value
-    return _finite(value, "log Gamma", x=x)
+    return _finite(value, "log Gamma", ("x",), (x,))
 
 
 def im_log_gamma(p: float, q: float) -> float:
@@ -377,7 +383,7 @@ def im_log_gamma(p: float, q: float) -> float:
     while z < _STIRLING_EDGE:
         acc += math.atan2(q, z)
         z += 1.0
-    return _finite(_im_stirling(z, q) - acc, "Im log Gamma", p=p, q=q)
+    return _finite(_im_stirling(z, q) - acc, "Im log Gamma", ("p", "q"), (p, q))
 
 
 def _im_stirling(p: float, q: float) -> float:
@@ -411,7 +417,7 @@ def digamma(x: float) -> float:
     for c in _DIGAMMA:
         series += c * p
         p *= inv2
-    return _finite(math.log(y) - 0.5 * inv - series - acc, "digamma", x=x)
+    return _finite(math.log(y) - 0.5 * inv - series - acc, "digamma", ("x",), (x,))
 
 
 def _zeta_sderiv_minus1(x: float) -> float:
@@ -466,7 +472,7 @@ def _hurwitz(s: float, x: float, sderiv: bool) -> float:
             value = _zeta_sderiv_minus1(x) if sderiv else x ** 2.0 / -2.0 + 0.5 * x - 1.0 / 12.0
     except (OverflowError, ValueError):  # x ** 2.0 or log_gamma(x) overflowed
         value = math.inf
-    return _finite(value, "the Hurwitz zeta", s=s, x=x)
+    return _finite(value, "the Hurwitz zeta", ("s", "x"), (s, x))
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
@@ -527,15 +533,19 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     capped at 60.  The cap binds only where x/a is above about 7e140 or b/a
     above about 1e137; at (1, 1, 1e150) the bound is 63.5 and the capped
     integral still meets its bar.  Raises a ValueError naming a, b and x
-    when x/a or b/a is 0 or the value is beyond the float range.
+    when x/a is below the smallest normal float, 2.2e-308, when b/a is 0,
+    when either is infinite, or when the value is beyond the float range.
     """
     if not isinstance(args, BarnesArgs):
         raise ValueError("args must be a BarnesArgs")
     a, b, x = args.a, args.b, args.x
     p = x / a
     scale = b / a
-    if not (0.0 < p < math.inf and 0.0 < scale < math.inf):  # x/a or b/a left the float range
-        return _fsum_result((math.nan,), "barnes-integral", a=a, b=b, x=x)
+    # below the smallest normal float p keeps only a few bits, which the bar
+    # cannot allow for: at p = 3.1e-323 the sum lies 3.4e7 bars off a
+    # 50-digit integral
+    if not (2.2250738585072014e-308 <= p < math.inf and 0.0 < scale < math.inf):
+        return _fsum_result((math.nan,), "barnes-integral", 0.0, ("a", "b", "x"), (a, b, x))
 
     # mu((p + k)/s) for each unit shift; where the quotient is below 1e-20,
     # mu(z) = -log(z)/2 - log(2 pi)/2 to double precision, with log z taken
@@ -569,7 +579,7 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
         # can cancel, and each is accurate far below the floor
         math.fsum((integral, *peeled)),
     )
-    return _fsum_result(terms, "barnes-integral", quad_err + _CUTOFF_TOL, a=a, b=b, x=x)
+    return _fsum_result(terms, "barnes-integral", quad_err + _CUTOFF_TOL, ("a", "b", "x"), (a, b, x))
 
 
 def _barnes_a11_series(a: float) -> EvalResult:
@@ -602,7 +612,7 @@ def _barnes_a11_series(a: float) -> EvalResult:
     m2 = m * m
     series = c2 + m2 * (c3 + m2 * (c4 + m2 * (c5 + m2 * (c6 + m2 * (c7 + m2 * (c8 + m2 * (c9 + m2 * c10)))))))
     terms = (lead, EULER_GAMMA / 12.0 * m, -0.25 * LOG_2PI, series * m2 * m, *reflection)
-    return _fsum_result(terms, "barnes-series", _BARNES_SERIES_NEXT * m**21, a=a)
+    return _fsum_result(terms, "barnes-series", _BARNES_SERIES_NEXT * m**21, ("a",), (a,))
 
 
 # Callers ask for one order in runs (the identity suite, asympt, a table

@@ -15,7 +15,7 @@ from conedet.determinants import (
 from conedet.pa_oracle import (
     PAIntegralBreakdown,
     _area_term_closed_form,
-    _dpsi,
+    _dpsi_at,
     _psi,
     pa_annulus_numeric,
     pa_disk_numeric,
@@ -47,7 +47,7 @@ class TestConformalFactor:
                     assert abs(_curvature(g.psi, g.dpsi, r) - K) <= 1e-3 * (1.0 + abs(K)), (a, K, r)
         # the Poincare metric of the cap oracle, which the record rejects
         for r in (0.1, 0.25, 0.5, 0.75, 0.95):
-            got = _curvature(functools.partial(_psi, 1.0, -1.0), functools.partial(_dpsi, 1.0, -1.0), r)
+            got = _curvature(functools.partial(_psi, 1.0, -1.0), _dpsi_at(1.0, -1.0), r)
             assert abs(got + 1.0) <= 1e-6, r
 
     def test_boundary_value(self):
@@ -137,6 +137,26 @@ class TestGradPsiSq:
             for r in (0.3, 0.8):
                 want = -2.0 * K * r / (1.0 + K * r * r)
                 assert abs(CurvedDiskGeometry(1.0, K).dpsi(r) - want) <= 1e-14 * (1.0 + abs(want))
+
+    def test_hoisted_factors_keep_the_formula_bit_for_bit(self):
+        # _dpsi_at takes a - 1, 2aK, 2a - 1 and 2a once; each call must give
+        # the bits of the formula written out, at random points of the
+        # annulus oracle's box (r log-uniform between the inner radius and
+        # 1) and of the cap at (1, -1).  float.hex tells -0.0 from 0.0
+        def formula(a, K, r):
+            return (a - 1.0) / r - 2.0 * a * K * r ** (2.0 * a - 1.0) / (1.0 + K * r ** (2.0 * a))
+
+        rng = random.Random(24)
+        points = []
+        while len(points) < 1000:
+            a = 10.0 ** rng.uniform(-15.0, 3.0)
+            K = 1.0 + 10.0 ** rng.uniform(-15.0, 300.0)
+            rho = K ** (-1.0 / (2.0 * a))
+            if PA._RHO_MIN <= rho <= PA._RHO_MAX:
+                points.append((a, K, rho ** rng.random()))
+        points += [(1.0, -1.0, rng.uniform(0.0, math.tanh(0.5 * PA._DISK_ETA_MAX))) for _ in range(200)]
+        for a, K, r in points:
+            assert _dpsi_at(a, K)(r).hex() == formula(a, K, r).hex(), (a, K, r)
 
 
 class TestAnnulusOracle:
@@ -240,7 +260,7 @@ class TestAnnulusOracle:
 
         monkeypatch.setattr(PA, "adaptive_quadrature", capture)
         rng = random.Random(7)
-        cap_dpsi = functools.partial(_dpsi, 1.0, -1.0)
+        cap_dpsi = _dpsi_at(1.0, -1.0)
         runs = [
             *(
                 (functools.partial(pa_annulus_numeric, a, K), CurvedDiskGeometry(a, K).dpsi)

@@ -159,7 +159,7 @@ def test_match_by_position_and_keyword():
 def test_computed_result_behaves_like_a_constructed_one():
     # _fsum_result sets the fields of the results the package computes
     # without going through EvalResult.__init__
-    computed = _fsum_result((1.0, 0.5), "flat-disk", r=1.0)
+    computed = _fsum_result((1.0, 0.5), "flat-disk", 0.0, ("r",), (1.0,))
     constructed = EvalResult(1.5, 2e-14 * 2.5, "flat-disk")
     assert computed.value == 1.5 and computed.abs_err == 2e-14 * 2.5
     assert computed == constructed and constructed == computed

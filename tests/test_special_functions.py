@@ -617,9 +617,13 @@ class TestBarnes:
         # whose value is about 2.5e249, (1, 1, 1e200), (1, 1, 1e300),
         # (1, 1, 1e308) and (1e-5, 1, 1e150), p = x/a is too large for
         # zeta(-1, p), and at (1e-3, 1, 1e303) for log Gamma(p) as well; at
-        # the last four, x/a or b/a is 0 or inf.  Without the cap _Y_MAX,
+        # the next four, x/a or b/a is 0 or inf.  Without the cap _Y_MAX,
         # the two at x = 1e300 and 1e308 end before that sum, each in a bare
-        # OverflowError from expm1
+        # OverflowError from expm1.  At the last three x/a is subnormal and
+        # keeps only a few bits, which no bar allows for: at the first, where
+        # x/a = 3.1e-323, the sum lies 3.4e7 bars off a 50-digit mpmath
+        # integral, and at its swapped orientation, where x/a = 5.3e-320,
+        # 1.4e4 bars off
         for a, b, x in (
             (1e307, 1.0, 1.0),
             (1e308, 1.0, 1.0),
@@ -634,6 +638,10 @@ class TestBarnes:
             (1e300, 1.0, 1e-300),
             (1e-300, 1e300, 1.0),
             (1e-200, 1e200, 1.0),
+            (1.437404176447616e207, 8.495634141135144e203, 4.465531762763124e-116),
+            (8.495634141135144e203, 1.437404176447616e207, 4.465531762763124e-116),
+            # the largest subnormal x/a, exactly
+            (2.0**100, 1.0, 2.0**100 * math.nextafter(2.2250738585072014e-308, 0.0)),
         ):
             with pytest.raises(ValueError, match=r"^a, b and x put the barnes-integral result beyond") as exc:
                 barnes_zeta_prime0(BarnesArgs(a, b, x))
@@ -758,7 +766,7 @@ class TestFsumResult:
         err=st.floats(0.0, 1e300),
     )
     def test_matches_the_reference_formula(self, terms, err):
-        res = SF._fsum_result(tuple(terms), "hyperbolic-cone", err, a=0.5, eta=1.0)
+        res = SF._fsum_result(tuple(terms), "hyperbolic-cone", err, ("a", "eta"), (0.5, 1.0))
         assert type(res) is EvalResult and res.formula_tag == "hyperbolic-cone"
         # float.hex tells -0.0 from 0.0
         assert res.value.hex() == math.fsum(terms).hex()
@@ -778,14 +786,14 @@ class TestFsumResult:
     )
     def test_beyond_the_float_range_names_the_params(self, terms, err):
         with pytest.raises(ValueError) as exc:
-            SF._fsum_result(terms, "hyperbolic-cone", err, a=0.5, eta=1.0)
+            SF._fsum_result(terms, "hyperbolic-cone", err, ("a", "eta"), (0.5, 1.0))
         assert str(exc.value) == self.RANGE_ERROR
 
     def test_invalid_record_fields_raise_as_eval_result_does(self):
         with pytest.raises(ValueError, match="^abs_err must be a nonnegative float, got -0.99"):
-            SF._fsum_result((1.0,), "hyperbolic-cone", -1.0, a=0.5, eta=1.0)
+            SF._fsum_result((1.0,), "hyperbolic-cone", -1.0, ("a", "eta"), (0.5, 1.0))
         with pytest.raises(ValueError, match="^formula_tag must be a nonempty string$"):
-            SF._fsum_result((1.0,), "", a=0.5, eta=1.0)
+            SF._fsum_result((1.0,), "", 0.0, ("a", "eta"), (0.5, 1.0))
 
 
 class TestValidation:
