@@ -3,9 +3,11 @@
 Everything here is self-contained double-precision scalar code:
 
 * log-gamma (real, and the imaginary part along vertical lines) from the
-  Stirling series after shifting the argument to Re z >= 10; one Horner
-  evaluator, _stirling, sums that series for real and complex z alike, and
-  Binet's function mu(z) is the same series plus its unit shifts.  Real
+  first eight terms of the Stirling series after shifting the argument to
+  Re z >= 10.  _stirling sums that series at real z, and Binet's function
+  mu(z) is the same series plus its unit shifts.  _im_stirling sums it at
+  complex z inline, and the Barnes quadrature node makes the same
+  operations inline too, so that each node runs in one frame.  Real
   log-gamma multiplies its unit-shift factors into one product and takes
   a single logarithm of it,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
@@ -27,6 +29,7 @@ All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
 from functools import lru_cache
@@ -61,6 +64,12 @@ _BERNOULLI = (
 
 # Stirling series coefficients B_{2j} / (2j (2j-1)) for log Gamma.
 _STIRLING = tuple(n / (d * 2 * j * (2 * j - 1)) for j, (n, d) in enumerate(_BERNOULLI, 1))
+
+# The eight of them that log Gamma sums at Re z >= _STIRLING_EDGE.  The
+# remainder is below the first omitted term times sec^18(arg z / 2)
+# (DLMF 5.11(ii)), largest on the real axis at z = 10:
+# |_STIRLING[8]| 10^-17 = 1.8e-18, below 2^-52 mu(10).
+_STIRLING_8 = _STIRLING[:8]
 
 # B_{2j} / (2j) for the digamma asymptotic series.
 _DIGAMMA = tuple(n / (d * 2 * j) for j, (n, d) in enumerate(_BERNOULLI[:8], 1))
@@ -139,7 +148,8 @@ _ZETA_SDERIV_TAIL = tuple(
     n / (d * (2 * k + 2) * (2 * k + 1) * 2 * k) for k, (n, d) in enumerate(_BERNOULLI[1:6], 1)
 )
 
-# The Stirling tail reaches double precision once Re z is past this line.
+# Past this line, Re z >= 10, eight terms of the Stirling series give
+# log Gamma to double precision; log Gamma shifts its argument there.
 _STIRLING_EDGE = 10.0
 
 # Where the Barnes integral is cut off: _truncation_point puts y_end where
@@ -313,18 +323,16 @@ def _finite(value: float, what: str, names: tuple[str, ...], values: tuple[float
 
 
 def _stirling(z: float | complex) -> float | complex:
-    """The Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) of log Gamma, for
-    real or complex z with Re z >= _STIRLING_EDGE, summed by Horner in 1/z^2;
-    the one evaluator of _STIRLING.  At real z it is Binet's function mu(z)
-    to double precision."""
-    # unrolled: a loop over _STIRLING costs about 8% more per call, and the
-    # Barnes quadrature makes 75 calls
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _STIRLING
+    """The Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) of log Gamma,
+    its first eight terms, for real or complex z with Re z >= _STIRLING_EDGE,
+    summed by Horner in 1/z^2.  At real z it is Binet's function mu(z) to
+    double precision; log_gamma and _binet call it there.  _im_stirling and
+    the Barnes node sum the same Horner form inline at complex z."""
+    # unrolled: a loop over the coefficients costs more per call
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
     inv = 1.0 / z
     u = inv * inv
-    return inv * (
-        c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * (c8 + u * (c9 + u * c10))))))))
-    )
+    return inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
 
 
 def _binet(z: float) -> float:
@@ -372,9 +380,10 @@ def im_log_gamma(p: float, q: float) -> float:
     """Imaginary part of the principal log Gamma(p + i q), p > 0.
 
     Odd in q: atan2 is odd in its first argument, and complex arithmetic
-    on conjugates gives conjugates exactly, so im_log_gamma(p, -q) ==
-    -im_log_gamma(p, q).  Raises a ValueError naming p and q where the
-    value overflows, for |q| from about 2.6e305 up.
+    and the complex logarithm give conjugates on conjugates exactly, so
+    im_log_gamma(p, -q) == -im_log_gamma(p, q).  Raises a ValueError
+    naming p and q where the value overflows, for |q| from about 2.6e305
+    up.
     """
     p = _real("p", p, 0.0, open_lo=True)
     q = _real("q", q)
@@ -388,17 +397,24 @@ def im_log_gamma(p: float, q: float) -> float:
 
 def _im_stirling(p: float, q: float) -> float:
     """Im log Gamma(p + i q) for p >= _STIRLING_EDGE from the Stirling
-    series at the complex point p + i q."""
-    series = _stirling(complex(p, q))
-    arg = math.atan2(q, p)
-    # below sys.float_info.min, where q/p underflows, atan2 has lost bits;
+    series at the complex point z = p + i q, with arg z and log |z| taken
+    from one complex logarithm.  The Barnes node, _barnes_integrand, makes
+    the same operations in the same order, inline."""
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
+    z = complex(p, q)
+    log_z = cmath.log(z)
+    inv = 1.0 / z
+    u = inv * inv
+    series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
+    arg = log_z.imag
+    # below sys.float_info.min, where q/p underflows, arg z has lost bits;
     # there (p - 1/2) arg z = q (1 - 1/(2p)) to double precision.  The
-    # Barnes nodes have q > 0, so the first comparison settles them
+    # Barnes node, where q >= 0, makes only the first comparison
     if arg < 2.2250738585072014e-308 and arg > -2.2250738585072014e-308:
         arg_term = q * (1.0 - 0.5 / p)
     else:
         arg_term = (p - 0.5) * arg
-    return arg_term + q * math.log(math.hypot(p, q)) - q + series.imag
+    return arg_term + q * log_z.real - q + series.imag
 
 
 def digamma(x: float) -> float:
@@ -495,11 +511,28 @@ def riemann_zeta_prime_minus1() -> float:
 
 
 def _barnes_integrand(p: float, scale: float) -> Callable[[float], float]:
-    # for p >= _STIRLING_EDGE, where Im log Gamma needs no unit shifts
+    """The Barnes node y -> -2 Im log Gamma(p + i scale y) / expm1(2 pi y)
+    for p >= _STIRLING_EDGE, where Im log Gamma needs no unit shifts.  It is
+    -2 _im_stirling(p, scale y) / expm1(2 pi y) bit for bit, with _im_stirling
+    written out inline so that a node runs in one frame; p - 1/2, the
+    coefficients and the library functions are bound once per integrand.
+    The nodes have y > 0, so q = scale y >= 0 and arg z >= 0."""
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
+    p_minus_half = p - 0.5
     two_pi = 2.0 * math.pi
+    log = cmath.log
+    expm1 = math.expm1
 
     def f(y: float) -> float:
-        return -2.0 * _im_stirling(p, scale * y) / math.expm1(two_pi * y)
+        q = scale * y
+        z = complex(p, q)
+        log_z = log(z)
+        inv = 1.0 / z
+        u = inv * inv
+        series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
+        arg = log_z.imag
+        arg_term = q * (1.0 - 0.5 / p) if arg < 2.2250738585072014e-308 else p_minus_half * arg
+        return -2.0 * (arg_term + q * log_z.real - q + series.imag) / expm1(two_pi * y)
 
     return f
 

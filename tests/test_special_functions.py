@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -373,6 +374,13 @@ class TestBinet:
             want = _mp_binet(z)
             assert abs(SF._binet(z) - want) <= 1e-15 * (1.0 + abs(want)), z
 
+    def test_eight_stirling_terms_reach_double_precision(self):
+        # log Gamma sums eight terms from Re z >= 10 on; the first omitted
+        # one, largest at z = 10, is below 2^-52 of mu(10)
+        assert SF._STIRLING_8 == SF._STIRLING[:8]
+        assert SF._STIRLING_EDGE == 10.0
+        assert abs(SF._STIRLING[8]) * 10.0**-17 < 2**-52 * SF._binet(10.0)
+
     @given(z=st.floats(1.0, 300.0).map(lambda e: 10.0**e))
     def test_one_stirling_evaluator(self, z):
         # the complex series on the real axis is the real series, bit for
@@ -455,6 +463,39 @@ class TestBarnes:
             limit = -(s / math.pi) * digamma(big_p)
             for y in (1e-6, 1e-12, 1e-100):
                 assert abs(f(y) - limit) <= (4.0 * y + 1e-14) * abs(limit), (big_p, s, y)
+
+    def test_integrand_is_im_stirling_inline(self):
+        # the node is -2 _im_stirling(p, s y) / expm1(2 pi y) written out in
+        # one frame, so the two agree bit for bit: on random points with
+        # p in [10, 11), s log-uniform in [1e-300, 1e300] and y in (0, 60],
+        # and on points chosen so that arg z = s y / p is below the smallest
+        # normal float, where the node takes its linear arg term (no random
+        # draw over that range reaches it)
+        normal_min = 2.2250738585072014e-308
+        rng = random.Random(20250)
+        points = [
+            (rng.uniform(10.0, 11.0), 10.0 ** rng.uniform(-300.0, 300.0), 60.0 * (1.0 - rng.random()))
+            for _ in range(1950)
+        ]
+        for _ in range(50):
+            p = rng.uniform(10.0, 11.0)
+            s = 10.0 ** rng.uniform(-300.0, -299.0)
+            q = 10.0 ** rng.uniform(math.log10(2.0 * normal_min), math.log10(p * normal_min))
+            points.append((p, s, q / s))
+        tiny_arg = [cmath.log(complex(p, s * y)).imag < normal_min for p, s, y in points]
+        assert sum(tiny_arg) == sum(tiny_arg[1950:]) == 50
+        for p, s, y in points:
+            want = -2.0 * SF._im_stirling(p, s * y) / math.expm1(2.0 * math.pi * y)
+            assert _barnes_integrand(p, s)(y).hex() == want.hex(), (p, s, y)
+        # every tenth point, five of them in the linear branch, against
+        # mpmath; rounding 2 pi y costs up to 2 pi y ulps of e^(2 pi y), and
+        # values below the normal range keep a few subnormal steps
+        mpmath.mp.dps = 30
+        for p, s, y in points[::10]:
+            q = s * y
+            want = float(-2 * mpmath.im(mpmath.loggamma(mpmath.mpc(p, q))) / mpmath.expm1(2 * mpmath.pi * y))
+            got = _barnes_integrand(p, s)(y)
+            assert abs(got - want) <= 4 * 2**-52 * (1.0 + 2.0 * math.pi * y) * abs(want) + 2e-323, (p, s, y)
 
     def test_result_metadata(self):
         res = barnes_zeta_prime0(BarnesArgs(0.5, 1.0, 1.0))
