@@ -7,11 +7,12 @@ integral of |grad psi|^2 plus boundary integrals of psi and its normal
 derivative.  This module evaluates that functional numerically for the
 two domains where the package also has closed forms (the cone-metric
 annulus and the smooth curvature -1 disk), giving an independent oracle
-for the analytic results in determinants.py.  Both oracles integrate the
-conformal factor of CurvedDiskGeometry: the annulus at its (a, K), the
-cap at (1, -1), the Poincare metric 4 |dz|^2 / (1 - |z|^2)^2.  Only the
-area term needs quadrature; the boundary circles contribute in closed
-form because psi is radial.
+for the analytic results in determinants.py.  The annulus integrates the
+conformal factor of CurvedDiskGeometry at its (a, K) in the radius r; the
+cap, the Poincare metric 4 |dz|^2 / (1 - |z|^2)^2 of CurvedDiskGeometry at
+(1, -1), in its geodesic radius s, where r = tanh(s/2).  Only the area term
+needs quadrature; the boundary circles contribute in closed form because
+psi is radial.
 """
 
 from __future__ import annotations
@@ -28,19 +29,21 @@ __all__ = [
     "pa_disk_numeric",
 ]
 
-# The box where the annulus oracle's quadrature meets its budget, each edge
-# short of its first failure: below an inner radius of about 3e-122 the spike
-# at the inner edge defeats the bisection (estimate 22 at (1, 1e300)); from
-# a = 1259 up the estimate ends just over 1e-12; above K = 1e300, K r^2a
-# overflows psi'.  Above 1 - 1e-15 the breakpoints round together.
+# The box of the annulus oracle.  Its quadrature meets the budget inside the
+# box, and each edge keeps a margin from the first failure past it: below an
+# inner radius of about 1e-154, psi'(r)^2 overflows at the inner edge; past
+# a = 1000 the estimate can end just over 1e-12 (3 of 29,595 points with a
+# in [1e3, 2e4], the first at a = 1.45e4); near K = 1e308, 2aK overflows
+# psi'.  Above 1 - 1e-15 the inner radius can round to 1, which leaves the
+# seed panel no width.
 _A_MAX = 1e3
 _K_MAX = 1e300
 _RHO_MIN = 1e-100
 _RHO_MAX = 1.0 - 1e-15
 
-# Largest radius of the disk oracle.  Its area integral grows like e^eta,
-# so the absolute tolerance falls below its rounding: the quadrature fails
-# from about eta = 7.7 on (7.65 passes, 7.68 fails).
+# Largest radius of the disk oracle.  The geodesic panel meets the budget
+# far past it, up to eta = 474, where sinh^3(s/2) overflows; the bound keeps
+# the documented range, which the error message states.
 _DISK_ETA_MAX = 7.5
 
 
@@ -96,18 +99,13 @@ def _area_term_closed_form(a: float, K: float) -> float:
     )
 
 
-def _area_term(a: float, K: float, seeds: tuple[float, ...]) -> float:
-    # -(1/6) * integral of psi'(r)^2 r dr over the seed panels, psi' unchecked:
-    # no Gauss-Kronrod node lies on an end point, so every node has r > 0,
-    # and the callers' radii keep 1 + K r^2a > 0
-    dpsi = _dpsi_at(a, K)
-
-    def integrand(r: float) -> float:
-        d = dpsi(r)
-        return d * d * r
-
-    raw, _ = adaptive_quadrature(integrand, seeds)
-    return -raw / 6.0
+def _cap_integrand(s: float) -> float:
+    # psi'(r)^2 r dr/ds of the cap at r = tanh(s/2), where psi' = 2r/(1 - r^2)
+    # and dr/ds = (1 - r^2)/2: 2 sinh^3(s/2) / cosh(s/2), with no pole and no
+    # cancellation in 1 - r^2
+    h = 0.5 * s
+    sh = math.sinh(h)
+    return 2.0 * sh * sh * sh / math.cosh(h)
 
 
 def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
@@ -127,9 +125,20 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
             f"got {rho!r} at a = {a!r}, K = {K!r}"
         )
 
-    # three log-spaced panels: the integrand is ~ (a-1)^2 / r at the inner
-    # edge; K > 1 keeps 1 + K r^2a > 1
-    area = _area_term(a, K, (rho, rho ** (2.0 / 3.0), rho ** (1.0 / 3.0), 1.0))
+    dpsi = _dpsi_at(a, K)
+
+    def integrand(r: float) -> float:
+        # psi'(r)^2 r, psi' unchecked: no Gauss-Kronrod node lies on an end
+        # point, so every node has r > 0, and K > 1 keeps 1 + K r^2a > 1
+        d = dpsi(r)
+        return d * d * r
+
+    # one panel per unit of log r, at least one since rho < 1: the integrand
+    # is ~ (a-1)^2 / r at the inner edge, so each panel spans a factor of at
+    # most e in r
+    m = math.ceil(-math.log(rho))
+    raw, _ = adaptive_quadrature(integrand, (rho, *(rho ** ((m - k) / m) for k in range(1, m)), 1.0))
+    area = -raw / 6.0
 
     curvature = math.fsum(
         (
@@ -145,19 +154,14 @@ def pa_disk_numeric(eta: float) -> PAIntegralBreakdown:
     """Anomaly functional for the smooth curvature -1 cap of geodesic
     radius eta, realized on the flat disk of radius tanh(eta/2).  The total
     equals logdet_poincare_cap(eta) - logdet_flat_disk(tanh(eta/2)) up to
-    quadrature error.  Needs eta <= 7.5, where the quadrature still meets
-    its absolute tolerance."""
+    quadrature error.  Needs eta <= 7.5."""
     eta = _real("eta", eta, _TINY, _DISK_ETA_MAX)
 
-    T = math.tanh(0.5 * eta)
+    # the area term in the geodesic radius s in [0, eta], on one panel
+    raw, _ = adaptive_quadrature(_cap_integrand, (0.0, eta))
+    area = -raw / 6.0
 
-    # psi' of the cap is 2r/(1 - r^2): three panels whose distances 1 - r to
-    # its pole at r = 1 fall geometrically from 1 to 1 - T;
-    # log(1 - T) = -log1p((e^eta - 1)/2)
-    log_gap = -math.log1p(0.5 * math.expm1(eta))
-    area = _area_term(1.0, -1.0, (0.0, -math.expm1(log_gap / 3.0), -math.expm1(2.0 * log_gap / 3.0), T))
-
-    # 1 - T^2 = 2/(1 + cosh eta), stable for all eta
+    # 1 - tanh^2(eta/2) = 2/(1 + cosh eta), stable for all eta
     s2 = 2.0 / (1.0 + math.cosh(eta))
     curvature = -(math.log(2.0) - math.log(s2)) / 3.0
     normal = -0.5 * (math.cosh(eta) - 1.0)

@@ -322,12 +322,12 @@ def _finite(value: float, what: str, names: tuple[str, ...], values: tuple[float
     raise ValueError(f"{listed} put {what} beyond the float range, got {got}")
 
 
-def _stirling(z: float | complex) -> float | complex:
+def _stirling(z: float) -> float:
     """The Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) of log Gamma,
-    its first eight terms, for real or complex z with Re z >= _STIRLING_EDGE,
-    summed by Horner in 1/z^2.  At real z it is Binet's function mu(z) to
-    double precision; log_gamma and _binet call it there.  _im_stirling and
-    the Barnes node sum the same Horner form inline at complex z."""
+    its first eight terms, for real z >= _STIRLING_EDGE, summed by Horner in
+    1/z^2: Binet's function mu(z) to double precision, for log_gamma and
+    _binet.  _im_stirling and the Barnes node sum the same Horner form
+    inline at complex z."""
     # unrolled: a loop over the coefficients costs more per call
     c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
     inv = 1.0 / z

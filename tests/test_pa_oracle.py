@@ -23,6 +23,32 @@ from conedet.pa_oracle import (
 
 _K_EDGE = math.nextafter(-1.0, 0.0)
 
+# corners and edges of the annulus oracle's box; the first three put the
+# inner radius at 1e-100
+_BOX_EDGES = [
+    (1.0, 1e200),
+    (0.5, 1e100),
+    (0.01, 100.0),
+    (1e3, 1e300),
+    (1e3, 2.0),
+    (1e-15, 1.0 + 1e-15),
+    (500.0, 1e300),
+]
+
+
+def _box_sample():
+    # README's sample of the annulus oracle's box: 100,000 log-uniform
+    # points (seed 6), a in [1e-15, 1e3] and K - 1 in [1e-15, 1e300], kept
+    # where the inner radius lies in [1e-100, 1 - 1e-15]
+    rng = random.Random(6)
+    points = []
+    for _ in range(100_000):
+        a = 10.0 ** rng.uniform(-15.0, 3.0)
+        K = 1.0 + 10.0 ** rng.uniform(-15.0, 300.0)
+        if PA._RHO_MIN <= K ** (-1.0 / (2.0 * a)) <= PA._RHO_MAX:
+            points.append((a, K))
+    return points
+
 
 def _curvature(psi, dpsi, r):
     # -e^{-2 psi} (psi'' + psi'/r), the Gaussian curvature of the radial
@@ -199,9 +225,9 @@ class TestAnnulusOracle:
             pa_annulus_numeric(0.0, 2.0)
 
     def test_inner_radius_out_of_reach_names_a_and_K(self):
-        # K^(-1/2a) underflows, overflows psi'(r)^2, or rounds to 1; at the
-        # last three the quadrature raised QuadratureError, its estimate
-        # stuck at 22, 10.9 and 14.8
+        # K^(-1/2a) underflows, overflows psi'(r)^2, or rounds to 1; the
+        # last three put it between 1e-154 and 1e-100, where the seed panels
+        # still meet the budget, and are refused all the same
         for a, K in (
             (1e-3, 10.0),
             (0.01, 1e300),
@@ -217,41 +243,35 @@ class TestAnnulusOracle:
     @pytest.mark.parametrize(
         "a, K, prefix",
         [
-            # the error estimate ended at 1.0e-12 to 1.2e-12
+            # past a = 1000
             (3981.0717055349733, 3.1622776601683794e78, "a must be finite and in [1e-300, 1000]"),
             (1e4, 3.1622776601683794e21, "a must be finite and in [1e-300, 1000]"),
-            # K r^2a overflowed in psi', a non-finite integrand
+            # past K = 1e300; at the first, 2aK overflows psi'
             (1.7782794100389228, 1e308, "K must be finite and in (1, 1e+300]"),
             (1.2589254117941673, 1e305, "K must be finite and in (1, 1e+300]"),
         ],
     )
     def test_a_or_K_outside_the_box_is_named(self, a, K, prefix):
-        # each raised QuadratureError
         with pytest.raises(ValueError) as exc:
             pa_annulus_numeric(a, K)
         assert str(exc.value).startswith(prefix), str(exc.value)
 
     def test_box_edges_meet_the_budget(self):
-        # the first three put the inner radius at 1e-100
-        for a, K in (
-            (1.0, 1e200),
-            (0.5, 1e100),
-            (0.01, 100.0),
-            (1e3, 1e300),
-            (1e3, 2.0),
-            (1e-15, 1.0 + 1e-15),
-            (500.0, 1e300),
-        ):
+        for a, K in _BOX_EDGES:
             got = pa_annulus_numeric(a, K)
             assert abs(got.total - annulus_ratio_closed_form(a, K)) <= 1e-10, (a, K)
 
     def test_integrand_is_dpsi_squared_times_r(self, monkeypatch):
-        # both oracles' integrands skip the checks of CurvedDiskGeometry.dpsi
-        # but keep its arithmetic, bit for bit: the annulus at its (a, K), the
-        # cap at (1, -1), which the record rejects; d * d, since pow(d, 2)
-        # from the C library can differ from it in the last bit.  r = 0 is
-        # left out: psi' divides by r, and no Gauss-Kronrod node lies on an
-        # end point
+        # the annulus integrand skips the checks of CurvedDiskGeometry.dpsi
+        # but keeps its arithmetic, bit for bit; d * d, since pow(d, 2) from
+        # the C library can differ from it in the last bit.  The cap
+        # integrates in the geodesic radius s, r = tanh(s/2), so its
+        # integrand is psi'(r)^2 r dr/ds of the Poincare metric at (1, -1),
+        # which the record rejects, with dr/ds = (1 - r^2)/2.  Up to s = 3
+        # they agree within 16 ulps: the rounding of r = tanh(s/2) enters
+        # r^3 / (1 - r^2) times 3 + 2 r^2 / (1 - r^2), at most 12 there
+        # (the worst of 200,000 points was 9.1).  r = 0 is left out: psi'
+        # divides by r, and no Gauss-Kronrod node lies on an end point
         seen = []
 
         def capture(f, points):
@@ -260,21 +280,37 @@ class TestAnnulusOracle:
 
         monkeypatch.setattr(PA, "adaptive_quadrature", capture)
         rng = random.Random(7)
-        cap_dpsi = _dpsi_at(1.0, -1.0)
-        runs = [
-            *(
-                (functools.partial(pa_annulus_numeric, a, K), CurvedDiskGeometry(a, K).dpsi)
-                for a, K in ((0.5, 2.0), (1.0, 5.0), (2.0, 10.0), (0.05, 1.5), (7.0, 1e6), (0.3, 1e4))
-            ),
-            *((functools.partial(pa_disk_numeric, eta), cap_dpsi) for eta in (0.5, 1.0, 3.0, 7.5)),
-        ]
-        for run, dpsi in runs:
+        for a, K in ((0.5, 2.0), (1.0, 5.0), (2.0, 10.0), (0.05, 1.5), (7.0, 1e6), (0.3, 1e4)):
             seen.clear()
-            run()
+            pa_annulus_numeric(a, K)
             ((f, lo, hi),) = seen
-            for r in [*(end for end in (lo, hi) if end > 0.0), *(rng.uniform(lo, hi) for _ in range(300))]:
+            dpsi = CurvedDiskGeometry(a, K).dpsi
+            for r in [lo, hi, *(rng.uniform(lo, hi) for _ in range(300))]:
                 d = dpsi(r)
-                assert f(r) == d * d * r, (run, r)
+                assert f(r) == d * d * r, (a, K, r)
+        cap_dpsi = _dpsi_at(1.0, -1.0)
+        for eta in (0.5, 1.0, 3.0, 7.5):
+            seen.clear()
+            pa_disk_numeric(eta)
+            ((f, lo, hi),) = seen
+            assert (lo, hi) == (0.0, eta)
+            top = min(hi, 3.0)
+            for s in [top, *(rng.uniform(lo, top) for _ in range(300))]:
+                r = math.tanh(0.5 * s)
+                want = cap_dpsi(r) ** 2 * r * (1.0 - r * r) / 2.0
+                assert abs(f(s) - want) <= 16 * 2.0**-52 * want, (eta, s)
+
+
+    def test_seeded_box_scan(self):
+        # every 51st point of the seed-6 sample and the box edges: the seed
+        # panels, one per unit of -log rho, meet the budget with no
+        # QuadratureError, and each total lies within 3.7e-11 of the closed
+        # form, README's figure for the whole sample
+        points = _box_sample()
+        assert len(points) == 20586
+        for a, K in points[::51] + _BOX_EDGES:
+            got = pa_annulus_numeric(a, K)
+            assert abs(got.total - annulus_ratio_closed_form(a, K)) <= 3.7e-11, (a, K)
 
 
 class TestDiskOracle:
@@ -306,6 +342,16 @@ class TestDiskOracle:
             got = pa_disk_numeric(eta)
             assert abs(got.boundary_curvature_terms - want) <= 1e-15, eta
 
+    def test_seeded_radius_scan(self):
+        # 300 log-uniform eta in [1e-250, 7.5] (seed 6): each total lies
+        # within the CLI's bar of the closed forms, 2e-14 (1 + |v|)
+        rng = random.Random(6)
+        lo, hi = math.log(1e-250), math.log(PA._DISK_ETA_MAX)
+        for _ in range(300):
+            eta = math.exp(rng.uniform(lo, hi))
+            want = logdet_poincare_cap(eta) - logdet_flat_disk(math.tanh(0.5 * eta))
+            assert abs(pa_disk_numeric(eta).total - want) <= 2e-14 * (1.0 + abs(want)), eta
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pa_disk_numeric(0.0)
@@ -318,16 +364,18 @@ class TestDiskOracle:
                 pa_disk_numeric(eta)
 
 
-def test_identity_grid_takes_one_pass_of_three_panels(count_evals):
+def test_identity_grid_takes_one_pass_of_its_seed_panels(count_evals):
     # on the verify_identities grid each oracle meets abs_tol on its seed
-    # panels: 75 evaluations, no bisection
+    # panels, 25 evaluations each, with no bisection: the annulus has one
+    # panel per unit of -log rho, the cap one panel in the geodesic radius
     calls = count_evals(PA)
     for a in (0.5, 1.0, 2.0):
         for K in (2.0, 5.0, 10.0):
             pa_annulus_numeric(a, K)
     for eta in (0.5, 1.0, 3.0):
         pa_disk_numeric(eta)
-    assert calls == [75] * 12
+    assert calls == [25, 50, 75, 25, 25, 50, 25, 25, 25] + [25] * 3
+    assert sum(calls) == 400
 
 
 class TestBreakdownType:

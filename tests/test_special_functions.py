@@ -383,10 +383,14 @@ class TestBinet:
 
     @given(z=st.floats(1.0, 300.0).map(lambda e: 10.0**e))
     def test_one_stirling_evaluator(self, z):
-        # the complex series on the real axis is the real series, bit for
-        # bit, and above the shift edge Binet's function is the series alone
-        assert SF._stirling(complex(z, 0.0)) == complex(SF._stirling(z), 0.0)
+        # above the shift edge Binet's function is the real series alone;
+        # the complex series, which _im_stirling sums inline, is real on the
+        # real axis and conjugate off it, so Im log Gamma is 0 there and odd
+        # in q, bit for bit
         assert SF._binet(z) == SF._stirling(z)
+        assert SF._im_stirling(z, 0.0) == 0.0
+        for q in (1.0, z):
+            assert SF._im_stirling(z, -q) == -SF._im_stirling(z, q)
 
     @pytest.mark.parametrize("z", [0.01, 1.0, 7.5, 1e3])
     def test_second_formula(self, z):
