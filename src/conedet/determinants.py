@@ -28,7 +28,9 @@ from functools import lru_cache
 from . import pa_oracle
 from .special_functions import (
     _ETA_MAX,
+    _LOG_2,
     _TINY,
+    _ZETA_PRIME_MINUS_ONE,
     EULER_GAMMA,
     LOG_2PI,
     BarnesArgs,
@@ -43,7 +45,6 @@ from .special_functions import (
     _set,
     barnes_zeta_prime0,
     barnes_zeta_prime0_orbifold,
-    riemann_zeta_prime_minus1,
 )
 
 __all__ = [
@@ -130,6 +131,16 @@ class IdentityReport(_Record):
         return self.abs_diff <= self.tolerance
 
 
+# Terms that depend on no input, taken once, as in special_functions.
+# LOG_2PI terms stay inline: the tests' route-mutation table patches this name.
+_TWO_ZETA_PRIME = 2.0 * _ZETA_PRIME_MINUS_ONE
+_LOG_2_OVER_3 = _LOG_2 / 3.0
+_LOG_2_OVER_6 = _LOG_2 / 6.0
+# the brackets of fp_asymptotics_reference's w and 1/w terms
+_FP_W = -2.0 * _ZETA_PRIME_MINUS_ONE + 1.0 / 6.0 - _LOG_2_OVER_6
+_FP_INV_W = 5.0 / 12.0 - _LOG_2_OVER_6 + EULER_GAMMA / 6.0
+
+
 def _log_tanh_half(eta: float) -> float:
     # log tanh(eta/2) = log(1 - e^-eta) - log(1 + e^-eta), without
     # cancellation at either end
@@ -191,7 +202,7 @@ def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
     terms = (
         -(ww + 1.0 / ww) / 6.0 * _log_tanh_half(eta),
         (3.0 - 8.0 * math.cosh(eta)) / (12.0 * ww),
-        -2.0 * riemann_zeta_prime_minus1() / ww,
+        -_TWO_ZETA_PRIME / ww,
         2.0 * _orbifold_gamma_sum(w) / ww,
         -0.5 * ww * LOG_2PI,
         (ww + 3.0 + 2.0 / ww) / 6.0 * math.log(ww),
@@ -205,20 +216,15 @@ def small_eta_asymptotics(w: int, eta: float) -> float:
     w = _checked_w(w)
     eta = _real("eta", eta, _TINY)
     ww = float(w)
+    log_w = math.log(ww)
     return math.fsum(
         (
             -(ww / 6.0 + 1.0 / (6.0 * ww)) * math.log(eta),
-            -ww * (math.log(2.0) / 3.0 + 0.5 * (LOG_2PI - math.log(2.0))),
-            -(
-                2.0 * riemann_zeta_prime_minus1()
-                - 2.0 * _orbifold_gamma_sum(w)
-                + 5.0 / 12.0
-                - math.log(2.0) / 6.0
-            )
-            / ww,
-            0.5 * math.log(ww),
-            ww * math.log(ww) / 6.0,
-            math.log(ww) / (3.0 * ww),
+            -ww * (_LOG_2_OVER_3 + 0.5 * (LOG_2PI - _LOG_2)),
+            -(_TWO_ZETA_PRIME - 2.0 * _orbifold_gamma_sum(w) + 5.0 / 12.0 - _LOG_2_OVER_6) / ww,
+            0.5 * log_w,
+            ww * log_w / 6.0,
+            log_w / (3.0 * ww),
         )
     )
 
@@ -230,14 +236,15 @@ def fp_asymptotics_reference(w: int, eta: float) -> float:
     w = _checked_w(w)
     eta = _real("eta", eta, _TINY)
     ww = float(w)
+    log_w = math.log(ww)
     return math.fsum(
         (
             -(ww / 6.0 + 1.0 / (6.0 * ww)) * math.log(eta),
-            -ww * (-2.0 * riemann_zeta_prime_minus1() + 1.0 / 6.0 - math.log(2.0) / 6.0),
-            -(5.0 / 12.0 - math.log(2.0) / 6.0 + EULER_GAMMA / 6.0) / ww,
-            0.5 * math.log(ww),
-            ww * math.log(ww) / 6.0,
-            math.log(ww) / (6.0 * ww),
+            -ww * _FP_W,
+            -_FP_INV_W / ww,
+            0.5 * log_w,
+            ww * log_w / 6.0,
+            log_w / (6.0 * ww),
             0.25,
         )
     )
@@ -312,8 +319,8 @@ def logdet_flat_disk(r: float) -> float:
     return math.fsum(
         (
             -math.log(r) / 3.0,
-            math.log(2.0) / 3.0,
-            -2.0 * riemann_zeta_prime_minus1(),
+            _LOG_2_OVER_3,
+            -_TWO_ZETA_PRIME,
             -5.0 / 12.0,
             -0.5 * LOG_2PI,
         )
@@ -327,7 +334,7 @@ def logdet_poincare_cap(eta: float) -> float:
     return math.fsum(
         (
             -_log_tanh_half(eta) / 3.0,
-            -2.0 * riemann_zeta_prime_minus1(),
+            -_TWO_ZETA_PRIME,
             11.0 / 12.0,
             -4.0 / 3.0 * _inv_sech_sq_half(eta),
             -0.5 * LOG_2PI,
@@ -412,7 +419,7 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
             rhs = (
                 math.log(4.0 * math.pi * a / K)
                 - 2.0 * zeta_prime0_spherical_cone(a, K).value
-                - math.log(2.0)
+                - _LOG_2
             )
             record("bfk-gluing", lhs, rhs)
 

@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable
 
 from .quadrature import adaptive_quadrature
-from .special_functions import _TINY, _real, _Record, _set
+from .special_functions import _LOG_2, _TINY, _real, _Record, _set
 
 __all__ = [
     "PAIntegralBreakdown",
@@ -94,7 +94,7 @@ def _area_term_closed_form(a: float, K: float) -> float:
             -math.log1p(K) / 3.0,
             -a / (3.0 * (K + 1.0)),
             a / 6.0,
-            math.log(2.0) / 3.0,
+            _LOG_2 / 3.0,
         )
     )
 
@@ -140,10 +140,11 @@ def pa_annulus_numeric(a: float, K: float) -> PAIntegralBreakdown:
     raw, _ = adaptive_quadrature(integrand, (rho, *(rho ** ((m - k) / m) for k in range(1, m)), 1.0))
     area = -raw / 6.0
 
+    log_2a = math.log(2.0 * a)
     curvature = math.fsum(
         (
-            -(math.log(2.0 * a) - math.log1p(K)) / 3.0,
-            (math.log(2.0 * a) - (a - 1.0) / (2.0 * a) * math.log(K) - math.log(2.0)) / 3.0,
+            -(log_2a - math.log1p(K)) / 3.0,
+            (log_2a - (a - 1.0) / (2.0 * a) * math.log(K) - _LOG_2) / 3.0,
         )
     )
     normal = math.fsum((-0.5, 0.5 + 0.5 * a - a / (K + 1.0)))
@@ -162,7 +163,8 @@ def pa_disk_numeric(eta: float) -> PAIntegralBreakdown:
     area = -raw / 6.0
 
     # 1 - tanh^2(eta/2) = 2/(1 + cosh eta), stable for all eta
-    s2 = 2.0 / (1.0 + math.cosh(eta))
-    curvature = -(math.log(2.0) - math.log(s2)) / 3.0
-    normal = -0.5 * (math.cosh(eta) - 1.0)
+    cosh_eta = math.cosh(eta)
+    s2 = 2.0 / (1.0 + cosh_eta)
+    curvature = -(_LOG_2 - math.log(s2)) / 3.0
+    normal = -0.5 * (cosh_eta - 1.0)
     return PAIntegralBreakdown(area, curvature, normal)

@@ -55,6 +55,14 @@ LOG_2PI = math.log(2.0 * math.pi)
 # zeta_R'(-1) = 1/12 - log(Glaisher constant)
 _ZETA_PRIME_MINUS_ONE = -0.1654211437004509292139197
 
+# Terms that depend on no input, taken once at import, each by the operations
+# of the term it stands for, in the same order, so that every value that
+# reads one has the bits of the term computed per call.
+_LOG_2 = math.log(2.0)
+_HALF_LOG_2PI = 0.5 * LOG_2PI
+_MINUS_QUARTER_LOG_2PI = -0.25 * LOG_2PI
+_GAMMA_OVER_12 = EULER_GAMMA / 12.0
+
 # B_2, B_4, ..., B_20 as (numerator, denominator); every coefficient below
 # is one such quotient, divided in integers and rounded once.
 _BERNOULLI = (
@@ -370,7 +378,7 @@ def log_gamma(x: float) -> float:
         product *= y
         y += 1.0
     shift += math.log(product)
-    value = (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _stirling(y) - shift
+    value = (y - 0.5) * math.log(y) - y + _HALF_LOG_2PI + _stirling(y) - shift
     if value < math.inf:  # the inline test spares the hot path a call
         return value
     return _finite(value, "log Gamma", ("x",), (x,))
@@ -483,7 +491,7 @@ def _hurwitz(s: float, x: float, sderiv: bool) -> float:
     x = _real("x", x, 0.0, open_lo=True)
     try:
         if s == 0.0:
-            value = log_gamma(x) - 0.5 * LOG_2PI if sderiv else 0.5 - x
+            value = log_gamma(x) - _HALF_LOG_2PI if sderiv else 0.5 - x
         else:
             value = _zeta_sderiv_minus1(x) if sderiv else x ** 2.0 / -2.0 + 0.5 * x - 1.0 / 12.0
     except (OverflowError, ValueError):  # x ** 2.0 or log_gamma(x) overflowed
@@ -506,7 +514,8 @@ def hurwitz_zeta_sderiv(s: float, x: float) -> float:
 
 
 def riemann_zeta_prime_minus1() -> float:
-    """zeta_R'(-1), stored as a high-precision constant."""
+    """zeta_R'(-1), stored as a high-precision constant.  The library reads
+    the stored constant itself, not this function."""
     return _ZETA_PRIME_MINUS_ONE
 
 
@@ -605,7 +614,7 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     terms = (
         (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - scale / 12.0) * math.log(a),
         0.5 * lg,
-        -0.25 * LOG_2PI,
+        _MINUS_QUARTER_LOG_2PI,
         -r * zh_m1,
         -r * dzh_m1,
         # one term of the rounding floor: the quadrature and the Binet terms
@@ -644,7 +653,7 @@ def _barnes_a11_series(a: float) -> EvalResult:
     c2, c3, c4, c5, c6, c7, c8, c9, c10 = _BARNES_SERIES
     m2 = m * m
     series = c2 + m2 * (c3 + m2 * (c4 + m2 * (c5 + m2 * (c6 + m2 * (c7 + m2 * (c8 + m2 * (c9 + m2 * c10)))))))
-    terms = (lead, EULER_GAMMA / 12.0 * m, -0.25 * LOG_2PI, series * m2 * m, *reflection)
+    terms = (lead, _GAMMA_OVER_12 * m, _MINUS_QUARTER_LOG_2PI, series * m2 * m, *reflection)
     return _fsum_result(terms, "barnes-series", _BARNES_SERIES_NEXT * m**21, ("a",), (a,))
 
 

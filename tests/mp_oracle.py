@@ -1,0 +1,70 @@
+"""mpmath oracle for the frozen Barnes calibration tables.
+
+It imports nothing from conedet, so it shares no code with the routes it
+checks.  barnes(a, b, x) takes zeta_B'(0; a, b, x), the s-derivative at 0
+of sum_{m,n>=0} (a m + b n + x)^(-s), at 50 digits from its integral
+representation: with p = x/a, s = b/a and r = a/b,
+
+    (-zeta(0, p)/2 + r zeta(-1, p) - s/12) log a + log Gamma(p)/2
+    - log(2 pi)/4 - r zeta(-1, p) - r zeta'(-1, p)
+    + int_0^inf -2 Im log Gamma(p + i s y) / (e^(2 pi y) - 1) dy,
+
+with mpmath's Hurwitz zeta and log-gamma.  The integrand changes on the
+scale y ~ x/b, so tanh-sinh quadrature gets a breakpoint every other decade
+from x/b up to 1, then at 2, 4 and 8.
+
+Tier-1 reads only the frozen tables in tests/test_special_functions.py,
+TestBarnes.CALIBRATION and TestBarnesSeries.CALIBRATION.  Run as a script,
+this module prints their rows, each value rounded to 30 digits, in the
+order and layout of the file:
+
+    python tests/mp_oracle.py
+"""
+
+import mpmath as mp
+
+# TestBarnes.CALIBRATION: (a, 1, 1) with a = 1/w as doubles for w = 1..12,
+# then angles on both sides of the window 1/8 < a < 8 ...
+BARNES_ANGLES = [1.0 / w for w in range(1, 13)] + [
+    0.01, 2.0, 3.0, 4.54, 7.0, 7.87, 10.0, 12.0, 14.0, 16.0, 22.0, 30.0, 99.0, 100.0,
+]
+# ... and (1, 1.3, x), where p = x lies just above 3
+BARNES_TRIPLES = [(1.0, 1.3, 3.09), (1.0, 1.3, 3.31), (1.0, 1.3, 3.72)]
+# TestBarnesSeries.CALIBRATION: (a, 1, 1) where the series takes a >= 8
+SERIES_ANGLES = [8.0, 14.0, 16.0, 30.0, 99.0, 100.0, 1e3]
+
+
+def barnes(a, b, x):
+    """zeta_B'(0; a, b, x) at 50 digits, as an mpf."""
+    with mp.workdps(50):
+        a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+        p, s, r = x / a, b / a, a / b
+        knee = x / b
+        points = [mp.mpf(0)]
+        while knee < 1:
+            points.append(knee)
+            knee *= 100
+        points += [1, 2, 4, 8, mp.inf]
+        integral = mp.quad(lambda y: -2 * mp.im(mp.loggamma(p + 1j * s * y)) / mp.expm1(2 * mp.pi * y), points)
+        zm1 = mp.zeta(-1, p)
+        return (
+            (-mp.zeta(0, p) / 2 + r * zm1 - s / 12) * mp.log(a)
+            + mp.loggamma(p) / 2
+            - mp.log(2 * mp.pi) / 4
+            - r * zm1
+            - r * mp.zeta(-1, p, 1)
+            + integral
+        )
+
+
+def _row(key, a, b, x):
+    return f'        ({key!r}, "{mp.nstr(barnes(a, b, x), 30)}"),'
+
+
+if __name__ == "__main__":
+    for a in BARNES_ANGLES:
+        print(_row(a, a, 1.0, 1.0))
+    for triple in BARNES_TRIPLES:
+        print(_row(triple, *triple))
+    for a in SERIES_ANGLES:
+        print(_row(a, a, 1.0, 1.0))

@@ -512,7 +512,8 @@ class TestBarnes:
 
     # zeta_B'(0; a, 1, 1) from mpmath: the same integral representation by
     # tanh-sinh quadrature and mpmath's Hurwitz zeta, computed at 50 digits
-    # and rounded to 30; the first 12 angles are a = 1/w as doubles
+    # and rounded to 30; the first 12 angles are a = 1/w as doubles.  The
+    # rows are those `python tests/mp_oracle.py` prints, which CI checks
     CALIBRATION = [
         (1.0, "-0.165421143700450929213919660243"),
         (0.5, "0.0616950907664298081882968618491"),
@@ -712,7 +713,8 @@ class TestBarnesSeries:
             assert abs(res.value - want) <= 1e-14 * abs(want), w
 
     # the integral representation by tanh-sinh quadrature in mpmath, computed
-    # at 50 digits and rounded to 30, as in TestBarnes.CALIBRATION
+    # at 50 digits and rounded to 30, as in TestBarnes.CALIBRATION and by the
+    # same generator, tests/mp_oracle.py
     CALIBRATION = [
         (8.0, "-0.391242879829861377018248563386"),
         (14.0, "-0.727845220798843279571411294076"),
@@ -720,7 +722,7 @@ class TestBarnesSeries:
         (30.0, "-2.35797227245197064278134484132"),
         (99.0, "-14.894676844072872070569986951"),
         (100.0, "-15.1150889583948978205986582542"),
-        (1e3, "-329.078731846046208187628079002"),
+        (1000.0, "-329.078731846046208187628079002"),
     ]
 
     @pytest.mark.parametrize("a, want", CALIBRATION)
