@@ -8,6 +8,9 @@ Subcommands:
           expansions on an eta grid
 * verify  run the cross-formula identity suite
 
+The kinds det and table take, their parameter names and the logdet each
+reports come from one table in the library, determinants._KINDS.
+
 Exit codes: 0 success, 1 bad arguments or invalid parameter values,
 2 identity verification failures, 3 quadrature failure.  All numbers are
 printed with up to 17 significant digits, enough to round-trip a double,
@@ -22,21 +25,14 @@ import sys
 from collections.abc import Callable
 
 from .determinants import (
-    ConeGeometry,
-    CurvedDiskGeometry,
+    _KINDS,
     fp_asymptotics_reference,
-    logdet_flat_disk,
-    logdet_hyperbolic_cone,
     logdet_orbifold_cone,
-    logdet_poincare_cap,
     small_eta_asymptotics,
     verify_identities,
-    zeta_prime0_spherical_cone,
-    zeta_prime0_spindle,
-    zeta_prime0_unit_disk_cone,
 )
 from .quadrature import QuadratureError
-from .special_functions import EvalResult, _fsum_result
+from .special_functions import EvalResult
 
 __all__ = ["main", "run"]
 
@@ -71,43 +67,6 @@ def _json(obj: object) -> str:
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return _fmt(obj)
-
-
-def _negated(res: EvalResult, tag: str) -> EvalResult:
-    return EvalResult(-res.value, res.abs_err, tag)
-
-
-_KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
-    "hyperbolic": (
-        ("a", "eta"),
-        lambda p: logdet_hyperbolic_cone(ConeGeometry(p["a"], p["eta"])),
-    ),
-    "orbifold": (("w", "eta"), lambda p: logdet_orbifold_cone(p["w"], p["eta"])),
-    "spindle": (
-        ("a", "K"),
-        lambda p: _negated(zeta_prime0_spindle(p["a"], p["K"]), "spindle-logdet"),
-    ),
-    "sphericalcone": (
-        ("a", "K"),
-        lambda p: _negated(zeta_prime0_spherical_cone(p["a"], p["K"]), "spherical-cone-logdet"),
-    ),
-    "diskcone": (
-        ("a", "K"),
-        lambda p: _negated(
-            zeta_prime0_unit_disk_cone(CurvedDiskGeometry(p["a"], p["K"])), "disk-cone-logdet"
-        ),
-    ),
-    "flatdisk": (
-        ("r",),
-        lambda p: _fsum_result((logdet_flat_disk(p["r"]),), "flat-disk-logdet", 0.0, ("r",), (p["r"],)),
-    ),
-    "poincarecap": (
-        ("eta",),
-        lambda p: _fsum_result(
-            (logdet_poincare_cap(p["eta"]),), "poincare-cap-logdet", 0.0, ("eta",), (p["eta"],)
-        ),
-    ),
-}
 
 
 # Most points a table (or an asympt grid) may have.  It is checked from the

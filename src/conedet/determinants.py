@@ -23,6 +23,7 @@ route to the same number and reports the residuals.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 from . import pa_oracle
@@ -359,6 +360,43 @@ def annulus_ratio_closed_form(a: float, K: float) -> float:
     K = _real("K", K, 1.0, open_lo=True)
     value = 2.0 * a / 3.0 - 4.0 / 3.0 * a / (K + 1.0) - (a - 1.0 / a) / 12.0 * math.log(K)
     return _finite(value, "the annulus ratio", ("a", "K"), (a, K))
+
+
+def _negated(res: EvalResult, tag: str) -> EvalResult:
+    """-zeta'(0) under the logdet tag, keeping zeta'(0)'s abs_err exactly."""
+    return EvalResult(-res.value, res.abs_err, tag)
+
+
+# kind -> (parameter names, logdet EvalResult at a dict of them): every kind
+# the CLI evaluates.  The zeta'(0) kinds are negated, and the two float
+# kinds get _fsum_result's rounding bar 2e-14 (1 + |v|).  Each evaluator
+# looks its function up in this module when it is called, so a patch or a
+# wrapper put on a module name reaches the CLI's calls too.
+_KINDS: dict[str, tuple[tuple[str, ...], Callable[[dict], EvalResult]]] = {
+    "hyperbolic": (("a", "eta"), lambda p: logdet_hyperbolic_cone(ConeGeometry(p["a"], p["eta"]))),
+    "orbifold": (("w", "eta"), lambda p: logdet_orbifold_cone(p["w"], p["eta"])),
+    "spindle": (("a", "K"), lambda p: _negated(zeta_prime0_spindle(p["a"], p["K"]), "spindle-logdet")),
+    "sphericalcone": (
+        ("a", "K"),
+        lambda p: _negated(zeta_prime0_spherical_cone(p["a"], p["K"]), "spherical-cone-logdet"),
+    ),
+    "diskcone": (
+        ("a", "K"),
+        lambda p: _negated(
+            zeta_prime0_unit_disk_cone(CurvedDiskGeometry(p["a"], p["K"])), "disk-cone-logdet"
+        ),
+    ),
+    "flatdisk": (
+        ("r",),
+        lambda p: _fsum_result((logdet_flat_disk(p["r"]),), "flat-disk-logdet", 0.0, ("r",), (p["r"],)),
+    ),
+    "poincarecap": (
+        ("eta",),
+        lambda p: _fsum_result(
+            (logdet_poincare_cap(p["eta"]),), "poincare-cap-logdet", 0.0, ("eta",), (p["eta"],)
+        ),
+    ),
+}
 
 
 def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:

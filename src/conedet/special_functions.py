@@ -59,6 +59,7 @@ _ZETA_PRIME_MINUS_ONE = -0.1654211437004509292139197
 # of the term it stands for, in the same order, so that every value that
 # reads one has the bits of the term computed per call.
 _LOG_2 = math.log(2.0)
+_TWO_PI = 2.0 * math.pi
 _HALF_LOG_2PI = 0.5 * LOG_2PI
 _MINUS_QUARTER_LOG_2PI = -0.25 * LOG_2PI
 _GAMMA_OVER_12 = EULER_GAMMA / 12.0
@@ -163,6 +164,7 @@ _STIRLING_EDGE = 10.0
 # Where the Barnes integral is cut off: _truncation_point puts y_end where
 # the tail beyond it is below this, and the Barnes error bar allows it.
 _CUTOFF_TOL = _ABS_TOL / 10.0
+_LOG_CUTOFF_TOL = math.log(_CUTOFF_TOL)
 
 # Smallest value accepted for a parameter that must be positive.
 _TINY = 1e-300
@@ -528,7 +530,7 @@ def _barnes_integrand(p: float, scale: float) -> Callable[[float], float]:
     The nodes have y > 0, so q = scale y >= 0 and arg z >= 0."""
     c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
     p_minus_half = p - 0.5
-    two_pi = 2.0 * math.pi
+    two_pi = _TWO_PI
     log = cmath.log
     expm1 = math.expm1
 
@@ -550,12 +552,11 @@ def _truncation_point(p: float, scale: float) -> float:
     """Smallest Y such that a crude bound on the integrand at (p, scale)
     times exp(-2 pi Y) is below _CUTOFF_TOL, found by a short fixed-point
     iteration."""
-    log_target = math.log(_CUTOFF_TOL)
     y = 1.0
     for _ in range(4):
         qy = scale * y
         crude = 2.0 * ((qy + 1.0) * math.log(2.0 + qy + p) + math.pi * (p + 1.0)) + 1.0
-        y = max(0.5, (math.log(crude) - log_target) / (2.0 * math.pi))
+        y = max(0.5, (math.log(crude) - _LOG_CUTOFF_TOL) / _TWO_PI)
     return 1.05 * y + 0.5
 
 

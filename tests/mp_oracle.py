@@ -13,10 +13,13 @@ with mpmath's Hurwitz zeta and log-gamma.  The integrand changes on the
 scale y ~ x/b, so tanh-sinh quadrature gets a breakpoint every other decade
 from x/b up to 1, then at 2, 4 and 8.
 
-Tier-1 reads only the frozen tables in tests/test_special_functions.py,
-TestBarnes.CALIBRATION and TestBarnesSeries.CALIBRATION.  Run as a script,
-this module prints their rows, each value rounded to 30 digits, in the
-order and layout of the file:
+barnes also gives the generator of the AUDIT table in
+tests/test_error_bar_audit.py its values of zeta_B'(0; a, 1, 1) for
+1/8 < a <= 1.  Tier-1 reads only the frozen tables in
+tests/test_special_functions.py, TestBarnes.CALIBRATION and
+TestBarnesSeries.CALIBRATION, and that AUDIT table.  Run as a script, this
+module prints the CALIBRATION rows, each value rounded to 30 digits, in
+the order and layout of the file:
 
     python tests/mp_oracle.py
 """

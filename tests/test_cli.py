@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,14 +10,16 @@ import pytest
 import conedet
 import conedet.determinants as determinants
 import conedet.special_functions as SF
-from conedet.cli import _parse_grid, main
+from conedet.cli import _build_parser, _parse_grid, main
 from conedet.determinants import (
     ConeGeometry,
     CurvedDiskGeometry,
     logdet_flat_disk,
     logdet_hyperbolic_cone,
     logdet_orbifold_cone,
+    logdet_poincare_cap,
     small_eta_asymptotics,
+    zeta_prime0_spherical_cone,
     zeta_prime0_spindle,
     zeta_prime0_unit_disk_cone,
 )
@@ -76,14 +79,53 @@ class TestDet:
         assert rc == 0 and err == ""
         assert math.isfinite(float(out.splitlines()[0].split("=")[1]))
 
-    def test_spindle_sign_convention(self, capsys):
-        # det prints logdet = -zeta'(0); the library function returns zeta'(0)
-        from conedet.determinants import zeta_prime0_spindle
+    # kind -> (params, the public function's result there, sign, formula_tag)
+    CONTRACT = {
+        "hyperbolic": (
+            {"a": 0.5, "eta": 1.0},
+            lambda: logdet_hyperbolic_cone(ConeGeometry(0.5, 1.0)),
+            1.0,
+            "hyperbolic-cone",
+        ),
+        "orbifold": ({"w": 3, "eta": 0.5}, lambda: logdet_orbifold_cone(3, 0.5), 1.0, "orbifold-cone"),
+        "spindle": ({"a": 2.0, "K": 1.0}, lambda: zeta_prime0_spindle(2.0, 1.0), -1.0, "spindle-logdet"),
+        "sphericalcone": (
+            {"a": 0.01, "K": 2.0},
+            lambda: zeta_prime0_spherical_cone(0.01, 2.0),
+            -1.0,
+            "spherical-cone-logdet",
+        ),
+        "diskcone": (
+            {"a": 0.7, "K": -0.3},
+            lambda: zeta_prime0_unit_disk_cone(CurvedDiskGeometry(0.7, -0.3)),
+            -1.0,
+            "disk-cone-logdet",
+        ),
+        "flatdisk": ({"r": 2.0}, lambda: logdet_flat_disk(2.0), 1.0, "flat-disk-logdet"),
+        "poincarecap": ({"eta": 1.3}, lambda: logdet_poincare_cap(1.3), 1.0, "poincare-cap-logdet"),
+    }
 
-        rc, out, _ = run(capsys, ["det", "spindle", "--a", "2", "--K", "1", "--format", "json"])
-        rec = json.loads(out)
-        assert rec["value"] == -zeta_prime0_spindle(2.0, 1.0).value
-        assert rec["formula_tag"] == "spindle-logdet"
+    @pytest.mark.parametrize("kind", sorted(CONTRACT))
+    def test_json_is_the_library_logdet(self, capsys, kind):
+        # det prints logdet = -zeta'(0): the zeta'(0) kinds are negated with
+        # their abs_err kept, and the kinds whose function returns a float
+        # carry the rounding bar of one term, 2e-14 (1 + |v|)
+        params, library, sign, tag = self.CONTRACT[kind]
+        res = library()
+        if isinstance(res, float):
+            value, abs_err = res, 2e-14 * (1.0 + abs(res))
+        else:
+            value, abs_err = sign * res.value, res.abs_err
+        argv = ["det", kind, *(arg for name, v in params.items() for arg in (f"--{name}", repr(v)))]
+        rc, out, err = run(capsys, [*argv, "--format", "json"])
+        assert rc == 0 and err == ""
+        assert json.loads(out) == {"formula_tag": tag, "params": params, "value": value, "abs_err": abs_err}
+
+    def test_kinds_are_the_library_table(self):
+        (commands,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("det", "table"):
+            (kind,) = (a for a in commands.choices[command]._actions if a.dest == "kind")
+            assert kind.choices == sorted(determinants._KINDS) == sorted(self.CONTRACT), command
 
 
 class TestTable:

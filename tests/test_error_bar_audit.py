@@ -6,8 +6,9 @@ points drawn log-uniform in the angle over four ranges, from the window
 the package returns lies within its own abs_err of the frozen one.
 
 The oracle is `oracle` below, which takes zeta_B'(0; a, 1, 1) three ways:
-- for 1/8 < a <= 1, the Barnes integral by mpmath's tanh-sinh quadrature at
-  30 digits, with mpmath's Hurwitz zeta and log-gamma;
+- for 1/8 < a <= 1, mp_oracle.barnes(a, 1, 1), the Barnes integral by
+  mpmath's tanh-sinh quadrature at 50 digits, with mpmath's Hurwitz zeta
+  and log-gamma;
 - for a <= 1/8, the flat-cone spectral sum at 40 digits: its first 50 terms
   R(n/a) from log-gamma, the rest from their Stirling series;
 - for a > 1, the reflection a <-> 1/a.
@@ -23,6 +24,7 @@ import math
 import random
 from fractions import Fraction
 
+import mp_oracle
 import mpmath as mp
 
 from conedet.determinants import (
@@ -182,19 +184,7 @@ def _barnes(a):
     if a > 1:
         return _barnes(1 / a) - mp.log(a) * ((a + 1 / a) / 12 + mp.mpf(1) / 4)
     if a > mp.mpf(1) / 8:
-        with mp.workdps(30):
-            p = 1 / a
-            f = lambda y: -2 * mp.im(mp.loggamma(p + 1j * p * y)) / mp.expm1(2 * mp.pi * y)
-            integral = mp.quad(f, [0, 0.5, 1, 2, 4, 8, mp.inf])
-            zm1 = mp.zeta(-1, p)
-            return (
-                (-mp.zeta(0, p) / 2 + a * zm1 - p / 12) * mp.log(a)
-                + mp.loggamma(p) / 2
-                - mp.log(2 * mp.pi) / 4
-                - a * zm1
-                - a * mp.zeta(-1, p, 1)
-                + integral
-            )
+        return mp_oracle.barnes(a, 1, 1)
     # log(A)/a + gamma a/12 - log(2 pi)/4 + sum_{n>=1} R(n/a), R the
     # remainder of Stirling's series after 1/(12 nu)
     n_direct = 50

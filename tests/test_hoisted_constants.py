@@ -1,10 +1,10 @@
 """The closed forms take their input-free terms (zeta_R'(-1), log 2, log 2 pi
-and gamma) from module constants computed at import.  Each constant makes
-the operations of the term it stands for, in the same order, so every term,
-every sum and every value keeps its bits.  Each test below writes the
-formula out with those terms computed per call, and compares the two by
-float.hex, which also tells -0.0 from 0.0, on seeded points and the edges of
-the domain."""
+and gamma), and the Barnes quadrature its cutoff's log and 2 pi, from module
+constants computed at import.  Each constant makes the operations of the
+term it stands for, in the same order, so every term, every sum and every
+value keeps its bits.  Each test below writes the formula out with those
+terms computed per call, and compares the two by float.hex, which also
+tells -0.0 from 0.0, on seeded points and the edges of the domain."""
 
 import math
 import random
@@ -125,6 +125,16 @@ def _barnes_a11_series_terms(a):
     return (lead, EULER_GAMMA / 12.0 * m, -0.25 * LOG_2PI, series * m2 * m, *reflection), m
 
 
+def _truncation_point(p, scale):
+    log_target = math.log(SF._CUTOFF_TOL)
+    y = 1.0
+    for _ in range(4):
+        qy = scale * y
+        crude = 2.0 * ((qy + 1.0) * math.log(2.0 + qy + p) + math.pi * (p + 1.0)) + 1.0
+        y = max(0.5, (math.log(crude) - log_target) / (2.0 * math.pi))
+    return 1.05 * y + 0.5
+
+
 def _bits(result):
     return result.value.hex(), result.abs_err.hex(), result.formula_tag
 
@@ -170,6 +180,21 @@ class TestSpecialFunctions:
             terms, m = _barnes_a11_series_terms(a)
             want = _fsum_result(terms, "barnes-series", SF._BARNES_SERIES_NEXT * m**21, ("a",), (a,))
             assert _same(SF._barnes_a11_series(a), want), a
+
+    def test_barnes_cutoff_and_node(self):
+        # the cutoff at (P, s), P >= 10 after the unit shifts, and the node at
+        # the quadrature's seeds below it and at the cutoff itself
+        rng = random.Random(2728)
+        shapes = [(10.0, 1.0), (10.5, 1e-8), (1e150, 1e-3), (10.0, 1e150)]
+        shapes += [(rng.uniform(10.0, 11.0), 10.0 ** rng.uniform(-12.0, 12.0)) for _ in range(300)]
+        shapes += [(10.0 ** rng.uniform(1.0, 150.0), 10.0 ** rng.uniform(-150.0, 150.0)) for _ in range(300)]
+        for p, s in shapes:
+            y_end = _truncation_point(p, s)
+            assert SF._truncation_point(p, s).hex() == y_end.hex(), (p, s)
+            node = SF._barnes_integrand(p, s)
+            for y in (1e-12, 1.0, 3.0, 8.0, 16.0, 32.0, min(SF._Y_MAX, y_end)):
+                want = -2.0 * SF._im_stirling(p, s * y) / math.expm1(2.0 * math.pi * y)
+                assert node(y).hex() == want.hex(), (p, s, y)
 
     def test_barnes_integral(self, monkeypatch):
         # the one edited term of barnes_zeta_prime0 is its third, -log(2 pi)/4;
