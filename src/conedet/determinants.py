@@ -153,12 +153,19 @@ def _inv_sech_sq_half(eta: float) -> float:
     return 0.5 * (1.0 + math.cosh(eta))
 
 
+# _barnes_a11 takes the quadrature for 1/_SERIES_EDGE < a < _SERIES_EDGE and
+# the spectral series elsewhere.  With m = min(a, 1/a), the series' truncation
+# bound 13.41 m^21 must stay below its rounding floor: at m = 1/5 it is
+# 2.8e-14, under the floors 5.4e-14 at a = 1/5 and 7.6e-14 at a = 5.  The
+# bound meets the floor at a = 0.2062 and at a = 4.775, so 1/5 and 5 are the
+# round edges the rule allows.
+_SERIES_EDGE = 5.0
+
+
 @lru_cache(maxsize=512)
 def _barnes_a11(a: float) -> EvalResult:
-    # the spectral series outside 1/8 < a < 8, where its truncation error is
-    # below the rounding floor, and the quadrature inside
     try:
-        if 0.125 < a < 8.0:
+        if 1.0 / _SERIES_EDGE < a < _SERIES_EDGE:
             return barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
         return _barnes_a11_series(a)
     except ValueError:
@@ -433,11 +440,12 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
         for eta in (0.1, 1.0, 3.0):
             lhs = logdet_hyperbolic_cone(ConeGeometry(1.0 / w, eta)).value
             record("orbifold-equality", lhs, logdet_orbifold_cone(w, eta).value)
-        # the cached value from the loop above: the quadrature for w < 8 and
-        # the spectral series from w = 8 on, each against the closed form
+        # the cached value from the loop above: the quadrature for w < 5 and
+        # the spectral series from w = 5 on, each against the closed form
         record("barnes-bridge", _barnes_a11(1.0 / w).value, barnes_zeta_prime0_orbifold(w))
-    for a in (2.0, 5.0):
-        # the reflection a <-> 1/a, between quadrature values cached above
+    for a in (2.0, 4.0, 5.0):
+        # the reflection a <-> 1/a: at 2 and 4 between quadrature values, at
+        # 5 between series values; each 1/a is cached above
         reflected = _barnes_a11(1.0 / a).value - math.log(a) * ((a + 1.0 / a) / 12.0 + 0.25)
         record("barnes-bridge", _barnes_a11(a).value, reflected)
 

@@ -21,8 +21,9 @@ Everything here is self-contained double-precision scalar code:
   representation whose integrand decays like exp(-2 pi y); the unit
   shifts that log-gamma would make at every node are integrated in closed
   form instead, as Binet's function, by Binet's second formula,
-* the same derivative at (a, 1, 1) without quadrature where a <= 1/8 or
-  a >= 8, from the flat-cone spectral sum and the reflection a <-> 1/a.
+* the same derivative at (a, 1, 1) without quadrature, from the flat-cone
+  spectral sum and the reflection a <-> 1/a; determinants takes it where
+  a <= 1/5 or a >= 5.
 
 All functions are pure and thread-safe.
 """
@@ -635,7 +636,7 @@ def _barnes_a11_series(a: float) -> EvalResult:
     sum_{k=2}^{10} B_2k / (2k (2k-1)) zeta(2k-1) a^(2k-1).  For real nu > 0
     the Stirling series is enveloping (DLMF 5.11(ii)), so the error is below
     the first omitted term, 13.41 a^21; the bar is that plus the rounding
-    floor, which it stays far below for a <= 1/8.
+    floor, which it stays below for a <= 1/5 (2.8e-14 at a = 1/5).
 
     Above a = 1 the series is taken at 1/a, through the exact reflection
         zeta_B'(0; a, 1, 1) = zeta_B'(0; 1/a, 1, 1) - log a ((a + 1/a)/12 + 1/4),

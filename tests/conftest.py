@@ -33,8 +33,9 @@ def count_evals(monkeypatch):
 def quadrature_fails(monkeypatch):
     """quadrature_fails() is a context in which every Barnes quadrature
     raises QuadratureError.  It clears the Barnes cache first, so that the
-    next angle in (1/8, 8) reaches the quadrature.  No cone input exhausts
-    the quadrature budget, so this is how a test reaches that failure."""
+    next angle in the window 1/5 < a < 5 reaches the quadrature.  No cone
+    input exhausts the quadrature budget, so this is how a test reaches that
+    failure."""
 
     def fail(f, points):
         raise QuadratureError("injected quadrature failure")

@@ -15,9 +15,11 @@ from x/b up to 1, then at 2, 4 and 8.
 
 barnes also gives the generator of the AUDIT table in
 tests/test_error_bar_audit.py its values of zeta_B'(0; a, 1, 1) for
-1/8 < a <= 1.  Tier-1 reads only the frozen tables in
-tests/test_special_functions.py, TestBarnes.CALIBRATION and
-TestBarnesSeries.CALIBRATION, and that AUDIT table.  Run as a script, this
+1/8 < a <= 1; on 1/8 < a <= 1/5 the package takes the spectral series, so
+there the audit checks the series against the integral.  Tier-1 reads only
+the frozen tables in tests/test_special_functions.py,
+TestBarnes.CALIBRATION and TestBarnesSeries.CALIBRATION, and that AUDIT
+table.  Run as a script, this
 module prints the CALIBRATION rows, each value rounded to 30 digits, in
 the order and layout of the file:
 
@@ -27,14 +29,15 @@ the order and layout of the file:
 import mpmath as mp
 
 # TestBarnes.CALIBRATION: (a, 1, 1) with a = 1/w as doubles for w = 1..12,
-# then angles on both sides of the window 1/8 < a < 8 ...
+# then angles inside and outside the package's window 1/5 < a < 5 ...
 BARNES_ANGLES = [1.0 / w for w in range(1, 13)] + [
     0.01, 2.0, 3.0, 4.54, 7.0, 7.87, 10.0, 12.0, 14.0, 16.0, 22.0, 30.0, 99.0, 100.0,
 ]
 # ... and (1, 1.3, x), where p = x lies just above 3
 BARNES_TRIPLES = [(1.0, 1.3, 3.09), (1.0, 1.3, 3.31), (1.0, 1.3, 3.72)]
-# TestBarnesSeries.CALIBRATION: (a, 1, 1) where the series takes a >= 8
-SERIES_ANGLES = [8.0, 14.0, 16.0, 30.0, 99.0, 100.0, 1e3]
+# TestBarnesSeries.CALIBRATION: (a, 1, 1) where the series takes over, at
+# both edges of the window 1/5 < a < 5, then at a >= 8
+SERIES_ANGLES = [0.2, 5.0, 8.0, 14.0, 16.0, 30.0, 99.0, 100.0, 1e3]
 
 
 def barnes(a, b, x):

@@ -506,15 +506,20 @@ class TestVerifyIdentities:
                 verify_identities(tol=bad)
 
     def test_one_barnes_quadrature_per_distinct_angle(self, count_evals):
-        # 9 distinct angles in (1/8, 8): 1/w for w = 1..7, then 2 and 5; from
-        # w = 8 on, 1/w takes the series.  barnes-bridge reuses the cached
-        # values, and a warm call runs none
+        # the distinct angles verify asks for: its a grid, 1/w for w = 1..12
+        # and the reflection pairs.  Those inside the quadrature window, 1/w
+        # for w = 1..4, 2 and 4, take one quadrature each; the rest take the
+        # series.  barnes-bridge reuses the cached values, and a warm call
+        # runs none
+        angles = {0.2, 0.5, 1.0, 2.0, 4.0, 5.0, *(1.0 / w for w in range(1, 13))}
+        edge = determinants._SERIES_EDGE
         calls = count_evals(SF)
         determinants._barnes_a11.cache_clear()
         verify_identities()
-        assert len(calls) == 9
+        assert determinants._barnes_a11.cache_info().misses == len(angles)
+        assert len(calls) == sum(1.0 / edge < a < edge for a in angles) == 6
         verify_identities()
-        assert len(calls) == 9
+        assert len(calls) == 6
 
     def test_one_gamma_sum_per_run_of_one_order(self):
         # the orbifold loops ask for one order several times in a row; the

@@ -22,7 +22,8 @@ ABOVE_MINUS_1 = (*POSITIVE, 0.0, -0.5, math.nextafter(-1.0, 0.0), -1.0)
 UNIT = (5e-324, 1e-300, 1e-100, 0.5, 1.0, math.nextafter(1.0, 2.0))
 S = (0.0, -1.0, 0.5)
 # the angle of a Barnes-backed kind: every decade, through the spectral series
-# below 1/8 and above 8 and the quadrature between, up to the float range
+# at 1/5 and below and at 5 and above and the quadrature between, up to the
+# float range
 ANGLE = (*POSITIVE, *(10.0**k for k in range(-300, 307)))
 W = (0, 1, 2, 199, 200, 201)
 

@@ -1,9 +1,10 @@
 """Oracle audit of the error bars of the four Barnes-backed kinds.
 
 AUDIT freezes, to 20 significant digits, an mpmath value of each kind at
-points drawn log-uniform in the angle over four ranges, from the window
-(1/8, 8) out to the whole accepted domain.  The test asks that every value
-the package returns lies within its own abs_err of the frozen one.
+points drawn log-uniform in the angle over four ranges, from
+(10^-0.9, 10^0.9), about (1/8, 8), out to the whole accepted domain.  The
+test asks that every value the package returns lies within its own abs_err
+of the frozen one.
 
 The oracle is `oracle` below, which takes zeta_B'(0; a, 1, 1) three ways:
 - for 1/8 < a <= 1, mp_oracle.barnes(a, 1, 1), the Barnes integral by
@@ -12,10 +13,11 @@ The oracle is `oracle` below, which takes zeta_B'(0; a, 1, 1) three ways:
 - for a <= 1/8, the flat-cone spectral sum at 40 digits: its first 50 terms
   R(n/a) from log-gamma, the rest from their Stirling series;
 - for a > 1, the reflection a <-> 1/a.
-Outside 1/8 < a < 8 the package takes the same spectral sum, so there the
-oracle shares its derivation and checks only the arithmetic and the
-truncation, not the formula.  Tier-1 reads only the frozen table; mpmath
-runs when the table is regenerated:
+The package takes that spectral sum outside 1/5 < a < 5, so outside
+1/8 < a < 8 the oracle shares its derivation and checks only the arithmetic
+and the truncation, not the formula.  Between, on 1/8 < a <= 1/5 and
+5 <= a < 8, it checks the package's series against the integral.  Tier-1
+reads only the frozen table; mpmath runs when the table is regenerated:
 
     PYTHONPATH=src python tests/test_error_bar_audit.py
 """

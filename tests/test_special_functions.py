@@ -701,7 +701,7 @@ def _reflected(big, a):
 
 
 class TestBarnesSeries:
-    """The quadrature-free route to zeta_B'(0; a, 1, 1) outside 1/8 < a < 8,
+    """The quadrature-free route to zeta_B'(0; a, 1, 1) outside 1/5 < a < 5,
     against the oracles that do not share its spectral derivation."""
 
     def test_against_orbifold_closed_form(self):
@@ -716,6 +716,8 @@ class TestBarnesSeries:
     # at 50 digits and rounded to 30, as in TestBarnes.CALIBRATION and by the
     # same generator, tests/mp_oracle.py
     CALIBRATION = [
+        (0.2, "0.793896923333738800574093850303"),
+        (5.0, "-0.305885650162896386889508290311"),
         (8.0, "-0.391242879829861377018248563386"),
         (14.0, "-0.727845220798843279571411294076"),
         (16.0, "-0.880764826696144600709699167334"),
@@ -745,6 +747,34 @@ class TestBarnesSeries:
             res = SF._barnes_a11_series(a)
             quad = barnes_zeta_prime0(BarnesArgs(1.0 / a, 1.0, 1.0))
             assert abs(res.value - _reflected(quad.value, a)) <= res.abs_err + quad.abs_err, a
+
+    def test_agrees_with_the_quadrature_across_both_edges(self):
+        # log-uniform angles from the old edges 1/8 and 8 to well inside the
+        # window, on both sides of each edge of 1/5 < a < 5
+        rng = random.Random(29)
+        for lo, hi in ((0.125, 0.3), (3.0, 8.0)):
+            for _ in range(150):
+                a = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                res = SF._barnes_a11_series(a)
+                quad = barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0))
+                assert abs(res.value - quad.value) <= res.abs_err + quad.abs_err, a
+
+    def test_truncation_stays_below_the_rounding_floor_at_the_edges(self):
+        # the rule that places _barnes_a11's window edge
+        m = 1.0 / D._SERIES_EDGE
+        truncation = SF._BARNES_SERIES_NEXT * m**21
+        for a in (m, D._SERIES_EDGE):
+            assert truncation < SF._barnes_a11_series(a).abs_err - truncation, a
+
+    def test_bar_no_wider_than_the_quadrature_where_the_route_moved(self):
+        # on (1/8, 1/5] and [5, 8) the series took over from the quadrature;
+        # 100 log-spaced angles on each band, both ends included
+        edge = D._SERIES_EDGE
+        for lo, hi in ((math.nextafter(0.125, 1.0), 1.0 / edge), (edge, math.nextafter(8.0, 0.0))):
+            for a in [lo, *(lo * (hi / lo) ** (i / 99) for i in range(1, 99)), hi]:
+                res = D._barnes_a11(a)
+                assert res.formula_tag == "barnes-series", a
+                assert res.abs_err <= barnes_zeta_prime0(BarnesArgs(a, 1.0, 1.0)).abs_err, a
 
     @pytest.mark.parametrize("a", [1.7, 2.0, 5.0])
     def test_reflection_holds_on_the_quadrature_alone(self, a):
