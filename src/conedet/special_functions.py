@@ -9,7 +9,10 @@ Everything here is self-contained double-precision scalar code:
   complex z inline, and the Barnes quadrature node makes the same
   operations inline too, so that each node runs in one frame.  Real
   log-gamma multiplies its unit-shift factors into one product and takes
-  a single logarithm of it,
+  a single logarithm of it.  The public log_gamma validates its argument
+  and its result once around the unchecked core _log_gamma; the orbifold
+  log-gamma sum, whose arguments j/w are valid by construction, calls the
+  core, and so makes the same operations without the checks,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
@@ -361,14 +364,24 @@ def _binet(z: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, from the Stirling series at y = x + n >= 10
-    less log(x (x + 1) ... (x + n - 1)).  The unit-shift factors are
-    multiplied into one product, which takes a single logarithm.  Below
-    x = 1 the first factor, x itself, takes its own logarithm, so every
-    factor of the product lies in [1, 10) and the product below 10!.
-    Raises a ValueError naming x where the value overflows, from about
-    x = 2.6e305 up."""
+    """log Gamma(x) for x > 0, computed by _log_gamma.  Raises a ValueError
+    naming x where x is not a positive finite real or where the value
+    overflows, from about x = 2.6e305 up."""
     x = _real("x", x, 0.0, open_lo=True)
+    value = _log_gamma(x)
+    if value < math.inf:  # the inline test spares the hot path a call
+        return value
+    return _finite(value, "log Gamma", ("x",), (x,))
+
+
+def _log_gamma(x: float) -> float:
+    """log Gamma(x) for a float x > 0 that is already valid, without the
+    checks of log_gamma: inf where the value overflows.  It is the Stirling
+    series at y = x + n >= 10 less log(x (x + 1) ... (x + n - 1)).  The
+    unit-shift factors are multiplied into one product, which takes a
+    single logarithm.  Below x = 1 the first factor, x itself, takes its
+    own logarithm, so every factor of the product lies in [1, 10) and the
+    product below 10!."""
     y = x
     shift = 0.0
     if y < 1.0:
@@ -381,10 +394,7 @@ def log_gamma(x: float) -> float:
         product *= y
         y += 1.0
     shift += math.log(product)
-    value = (y - 0.5) * math.log(y) - y + _HALF_LOG_2PI + _stirling(y) - shift
-    if value < math.inf:  # the inline test spares the hot path a call
-        return value
-    return _finite(value, "log Gamma", ("x",), (x,))
+    return (y - 0.5) * math.log(y) - y + _HALF_LOG_2PI + _stirling(y) - shift
 
 
 def im_log_gamma(p: float, q: float) -> float:
@@ -665,9 +675,10 @@ def _barnes_a11_series(a: float) -> EvalResult:
 # ROADMAP item 1, the peak-RSS reading that grows with sweep throughput.
 @lru_cache(maxsize=1)
 def _orbifold_gamma_sum(w: int) -> float:
-    # sum_{j=1}^{w-1} j log Gamma(j/w)
+    # sum_{j=1}^{w-1} j log Gamma(j/w); each j/w is a float in (0, 1), so
+    # the terms take the unchecked core
     ww = float(w)
-    return math.fsum(j * log_gamma(j / ww) for j in range(1, w))
+    return math.fsum([j * _log_gamma(j / ww) for j in range(1, w)])
 
 
 def barnes_zeta_prime0_orbifold(w: int) -> float:

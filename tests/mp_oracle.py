@@ -1,4 +1,5 @@
-"""mpmath oracle for the frozen Barnes calibration tables.
+"""mpmath oracle for the tests: the frozen Barnes calibration tables and
+two closed forms at small radii.
 
 It imports nothing from conedet, so it shares no code with the routes it
 checks.  barnes(a, b, x) takes zeta_B'(0; a, b, x), the s-derivative at 0
@@ -13,14 +14,19 @@ with mpmath's Hurwitz zeta and log-gamma.  The integrand changes on the
 scale y ~ x/b, so tanh-sinh quadrature gets a breakpoint every other decade
 from x/b up to 1, then at 2, 4 and 8.
 
+orbifold(w, eta) and poincare_cap(eta) take two closed forms of the
+package at 40 digits: the orbifold cone of angle 2 pi / w, with its
+log-gamma sum from mpmath, and the Poincare cap, the hyperbolic cone at
+a = 1.  tests/test_determinants.py holds the package's values at small
+radii within their error bars of these.
+
 barnes also gives the generator of the AUDIT table in
 tests/test_error_bar_audit.py its values of zeta_B'(0; a, 1, 1) for
 1/8 < a <= 1; on 1/8 < a <= 1/5 the package takes the spectral series, so
-there the audit checks the series against the integral.  Tier-1 reads only
-the frozen tables in tests/test_special_functions.py,
+there the audit checks the series against the integral.  Of barnes, Tier-1
+reads only the frozen tables in tests/test_special_functions.py,
 TestBarnes.CALIBRATION and TestBarnesSeries.CALIBRATION, and that AUDIT
-table.  Run as a script, this
-module prints the CALIBRATION rows, each value rounded to 30 digits, in
+table.  Run as a script, this module prints the CALIBRATION rows, each value rounded to 30 digits, in
 the order and layout of the file:
 
     python tests/mp_oracle.py
@@ -60,6 +66,39 @@ def barnes(a, b, x):
             - r * zm1
             - r * mp.zeta(-1, p, 1)
             + integral
+        )
+
+
+def log_tanh_half(eta):
+    return mp.log(mp.tanh(mp.mpf(eta) / 2))
+
+
+def orbifold(w, eta):
+    """logdet of the orbifold cone of angle 2 pi / w and geodesic radius
+    eta at 40 digits, as an mpf."""
+    with mp.workdps(40):
+        ww = mp.mpf(w)
+        gsum = mp.fsum(j * mp.loggamma(mp.mpf(j) / w) for j in range(1, w))
+        return (
+            -(ww + 1 / ww) / 6 * log_tanh_half(eta)
+            + (3 - 8 * mp.cosh(eta)) / (12 * ww)
+            - 2 * mp.zeta(-1, 1, 1) / ww
+            + 2 * gsum / ww
+            - ww / 2 * mp.log(2 * mp.pi)
+            + (ww + 3 + 2 / ww) / 6 * mp.log(ww)
+        )
+
+
+def poincare_cap(eta):
+    """logdet of the Poincare cap of geodesic radius eta at 40 digits, as
+    an mpf."""
+    with mp.workdps(40):
+        return (
+            -log_tanh_half(eta) / 3
+            - 2 * mp.zeta(-1, 1, 1)
+            + mp.mpf(11) / 12
+            - mp.mpf(2) / 3 * (1 + mp.cosh(eta))
+            - mp.log(2 * mp.pi) / 2
         )
 
 

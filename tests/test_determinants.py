@@ -1,6 +1,6 @@
 import math
 
-import mpmath
+import mp_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -350,58 +350,30 @@ class TestPoincareCap:
             logdet_poincare_cap(701.0)
 
 
-def _mp_log_tanh_half(eta):
-    return mpmath.log(mpmath.tanh(mpmath.mpf(eta) / 2))
-
-
-def _mp_orbifold(w, eta):
-    with mpmath.workdps(40):
-        ww = mpmath.mpf(w)
-        gsum = mpmath.fsum(j * mpmath.loggamma(mpmath.mpf(j) / w) for j in range(1, w))
-        return (
-            -(ww + 1 / ww) / 6 * _mp_log_tanh_half(eta)
-            + (3 - 8 * mpmath.cosh(eta)) / (12 * ww)
-            - 2 * mpmath.zeta(-1, 1, 1) / ww
-            + 2 * gsum / ww
-            - ww / 2 * mpmath.log(2 * mpmath.pi)
-            + (ww + 3 + 2 / ww) / 6 * mpmath.log(ww)
-        )
-
-
-def _mp_poincare_cap(eta):
-    with mpmath.workdps(40):
-        return (
-            -_mp_log_tanh_half(eta) / 3
-            - 2 * mpmath.zeta(-1, 1, 1)
-            + mpmath.mpf(11) / 12
-            - mpmath.mpf(2) / 3 * (1 + mpmath.cosh(eta))
-            - mpmath.log(2 * mpmath.pi) / 2
-        )
-
-
 SMALL_ETAS = (1e-8, 1e-12, 1e-17, 1e-300)
 
 
 class TestSmallRadius:
     """log tanh(eta/2) must not cancel as eta -> 0: every value stays within
-    its claimed error bar of a 40-digit evaluation of the same closed form."""
+    its claimed error bar of a 40-digit evaluation of the same closed form,
+    from mp_oracle."""
 
     @pytest.mark.parametrize("w", (2, 3))
     @pytest.mark.parametrize("eta", SMALL_ETAS)
     def test_orbifold_within_abs_err(self, w, eta):
         res = logdet_orbifold_cone(w, eta)
-        assert abs(res.value - float(_mp_orbifold(w, eta))) <= res.abs_err
+        assert abs(res.value - float(mp_oracle.orbifold(w, eta))) <= res.abs_err
 
     @pytest.mark.parametrize("w", (2, 3))
     @pytest.mark.parametrize("eta", SMALL_ETAS)
     def test_hyperbolic_at_orbifold_angle_within_abs_err(self, w, eta):
         res = logdet_hyperbolic_cone(ConeGeometry(1.0 / w, eta))
-        assert abs(res.value - float(_mp_orbifold(w, eta))) <= res.abs_err
+        assert abs(res.value - float(mp_oracle.orbifold(w, eta))) <= res.abs_err
 
     @pytest.mark.parametrize("eta", SMALL_ETAS)
     def test_poincare_cap_within_cli_bound(self, eta):
         value = logdet_poincare_cap(eta)
-        assert abs(value - float(_mp_poincare_cap(eta))) <= 2e-14 * (1.0 + abs(value))
+        assert abs(value - float(mp_oracle.poincare_cap(eta))) <= 2e-14 * (1.0 + abs(value))
 
     @settings(max_examples=60, deadline=None)
     @given(w=st.integers(1, 200), log_eta=st.floats(math.log(1e-300), math.log(700.0)))
@@ -522,12 +494,12 @@ class TestVerifyIdentities:
         assert len(calls) == 6
 
     def test_one_gamma_sum_per_run_of_one_order(self):
-        # the orbifold loops ask for one order several times in a row; the
-        # last-order memo computes its log-gamma sum once per run, 17 runs
+        # the orbifold loop asks for each order w = 1..12 in one run; the
+        # last-order memo computes its log-gamma sum once per run, 12 runs
         verify_identities()
         misses = SF._orbifold_gamma_sum.cache_info().misses
         warm = verify_identities()
-        assert SF._orbifold_gamma_sum.cache_info().misses - misses == 17
+        assert SF._orbifold_gamma_sum.cache_info().misses - misses == 12
         SF._orbifold_gamma_sum.cache_clear()
         assert verify_identities() == warm
 

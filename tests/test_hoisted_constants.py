@@ -4,7 +4,9 @@ constants computed at import.  Each constant makes the operations of the
 term it stands for, in the same order, so every term, every sum and every
 value keeps its bits.  Each test below writes the formula out with those
 terms computed per call, and compares the two by float.hex, which also
-tells -0.0 from 0.0, on seeded points and the edges of the domain."""
+tells -0.0 from 0.0, on seeded points and the edges of the domain.  The
+orbifold log-gamma sum, which skips log_gamma's checks, is held to the
+same bits as the written-out log-gamma the same way."""
 
 import math
 import random
@@ -172,6 +174,14 @@ class TestSpecialFunctions:
             want = _log_gamma(x)
             assert log_gamma(x).hex() == want.hex(), x
             assert hurwitz_zeta_sderiv(0.0, x).hex() == (want - 0.5 * LOG_2PI).hex(), x
+
+    def test_orbifold_gamma_sum(self):
+        # the sum's terms take the unchecked core of log_gamma; each j/w is
+        # a valid float, so every sum keeps the bits of the validated terms
+        for w in range(1, 201):
+            ww = float(w)
+            want = math.fsum(j * _log_gamma(j / ww) for j in range(1, w))
+            assert SF._orbifold_gamma_sum.__wrapped__(w).hex() == want.hex(), w
 
     def test_barnes_series(self):
         rng = random.Random(2726)
