@@ -4,15 +4,17 @@ Everything here is self-contained double-precision scalar code:
 
 * log-gamma (real, and the imaginary part along vertical lines) from the
   first eight terms of the Stirling series after shifting the argument to
-  Re z >= 10.  _stirling sums that series at real z, and Binet's function
-  mu(z) is the same series plus its unit shifts.  _im_stirling sums it at
-  complex z inline, and the Barnes quadrature node makes the same
+  Re z >= 10.  _stirling sums that series at real z for Binet's function
+  mu(z), which is the same series plus its unit shifts.  _im_stirling sums
+  it at complex z inline, and the Barnes quadrature node makes the same
   operations inline too, so that each node runs in one frame.  Real
-  log-gamma multiplies its unit-shift factors into one product and takes
-  a single logarithm of it.  The public log_gamma validates its argument
-  and its result once around the unchecked core _log_gamma; the orbifold
-  log-gamma sum, whose arguments j/w are valid by construction, calls the
-  core, and so makes the same operations without the checks,
+  log-gamma runs in one frame as well: its core _log_gamma multiplies its
+  unit-shift factors into one product, two per pass, takes a single
+  logarithm of it, and sums the series inline in _stirling's Horner form.
+  The public log_gamma validates its argument and its result once around
+  that unchecked core; the orbifold log-gamma sum, whose arguments j/w are
+  valid by construction, calls the core, and so makes the same operations
+  without the checks,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
@@ -48,7 +50,6 @@ __all__ = [
     "digamma",
     "hurwitz_zeta",
     "hurwitz_zeta_sderiv",
-    "riemann_zeta_prime_minus1",
     "barnes_zeta_prime0",
     "barnes_zeta_prime0_orbifold",
 ]
@@ -339,9 +340,9 @@ def _finite(value: float, what: str, names: tuple[str, ...], values: tuple[float
 def _stirling(z: float) -> float:
     """The Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) of log Gamma,
     its first eight terms, for real z >= _STIRLING_EDGE, summed by Horner in
-    1/z^2: Binet's function mu(z) to double precision, for log_gamma and
-    _binet.  _im_stirling and the Barnes node sum the same Horner form
-    inline at complex z."""
+    1/z^2: Binet's function mu(z) to double precision, for _binet.
+    _log_gamma sums the same Horner form inline at real z, and _im_stirling
+    and the Barnes node at complex z."""
     # unrolled: a loop over the coefficients costs more per call
     c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
     inv = 1.0 / z
@@ -381,20 +382,35 @@ def _log_gamma(x: float) -> float:
     unit-shift factors are multiplied into one product, which takes a
     single logarithm.  Below x = 1 the first factor, x itself, takes its
     own logarithm, so every factor of the product lies in [1, 10) and the
-    product below 10!."""
+    product below 10!.  The core runs in one frame: it takes the shifts two
+    per pass, and sums the series inline in the Horner form of _stirling,
+    which serves only _binet."""
+    log = math.log
     y = x
     shift = 0.0
     if y < 1.0:
-        shift = math.log(y)
+        shift = log(y)
         y += 1.0
     elif y == 1.0 or y == 2.0:  # Gamma(1) = Gamma(2) = 1; the series misses by an ULP
         return 0.0
     product = 1.0
-    while y < _STIRLING_EDGE:
+    # y < 9 keeps y + 1 below 10 after rounding, so each pass makes two
+    # steps of a one-per-pass loop to 10, in its order; from y >= 9 that
+    # loop makes at most one more
+    while y < 9.0:
         product *= y
         y += 1.0
-    shift += math.log(product)
-    return (y - 0.5) * math.log(y) - y + _HALF_LOG_2PI + _stirling(y) - shift
+        product *= y
+        y += 1.0
+    if y < _STIRLING_EDGE:
+        product *= y
+        y += 1.0
+    shift += log(product)
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
+    inv = 1.0 / y
+    u = inv * inv
+    series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
+    return (y - 0.5) * log(y) - y + _HALF_LOG_2PI + series - shift
 
 
 def im_log_gamma(p: float, q: float) -> float:
@@ -524,12 +540,6 @@ def hurwitz_zeta_sderiv(s: float, x: float) -> float:
     (Lerch's formula), and for s = -1 from a Taylor or an asymptotic series
     in x.  Any other s raises a ValueError."""
     return _hurwitz(s, x, True)
-
-
-def riemann_zeta_prime_minus1() -> float:
-    """zeta_R'(-1), stored as a high-precision constant.  The library reads
-    the stored constant itself, not this function."""
-    return _ZETA_PRIME_MINUS_ONE
 
 
 def _barnes_integrand(p: float, scale: float) -> Callable[[float], float]:

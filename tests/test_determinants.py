@@ -28,9 +28,9 @@ from conedet.determinants import (
     zeta_prime0_unit_disk_cone,
 )
 from conedet.pa_oracle import PAIntegralBreakdown
-from conedet.special_functions import LOG_2PI, EvalResult, riemann_zeta_prime_minus1
+from conedet.special_functions import LOG_2PI, EvalResult
 
-ZP1 = riemann_zeta_prime_minus1()
+ZP1 = SF._ZETA_PRIME_MINUS_ONE
 
 EXPECTED_IDENTITIES = [
     "a1-arithmetic-check",

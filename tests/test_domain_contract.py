@@ -68,7 +68,6 @@ CONTRACT = [
     (SF.im_log_gamma, "p q", (1.0, 1.0), (POSITIVE, REAL), (positive, real), None),
     (SF.hurwitz_zeta, "s x", (-1.0, 1.0), (S, POSITIVE), (st.sampled_from(S), positive), None),
     (SF.hurwitz_zeta_sderiv, "s x", (-1.0, 1.0), (S, POSITIVE), (st.sampled_from(S), positive), None),
-    (SF.riemann_zeta_prime_minus1, "", (), (), (), None),
     (barnes_zeta_prime0, "a b x", (1.0, 1.0, 1.0), (POSITIVE,) * 3, (positive,) * 3, barnes_edge),
     (SF.barnes_zeta_prime0_orbifold, "w", (2,), (W,), (st.integers(-1, 201),), None),
     (D.curvature_from_radius, "eta", (1.0,), (POSITIVE,), (positive,), None),

@@ -5,8 +5,10 @@ term it stands for, in the same order, so every term, every sum and every
 value keeps its bits.  Each test below writes the formula out with those
 terms computed per call, and compares the two by float.hex, which also
 tells -0.0 from 0.0, on seeded points and the edges of the domain.  The
-orbifold log-gamma sum, which skips log_gamma's checks, is held to the
-same bits as the written-out log-gamma the same way."""
+log-gamma core, which takes two unit shifts per pass and sums the Stirling
+series in its own frame, and the orbifold log-gamma sum, which skips
+log_gamma's checks, are held the same way to the written-out log-gamma,
+which takes one shift per pass and calls _stirling."""
 
 import math
 import random
@@ -22,10 +24,9 @@ from conedet.special_functions import (
     barnes_zeta_prime0,
     hurwitz_zeta_sderiv,
     log_gamma,
-    riemann_zeta_prime_minus1,
 )
 
-ZP1 = riemann_zeta_prime_minus1
+ZP1 = SF._ZETA_PRIME_MINUS_ONE
 
 
 def _log_uniform(rng, lo, hi, n):
@@ -46,7 +47,7 @@ def _fp(w, eta):
     return math.fsum(
         (
             -(ww / 6.0 + 1.0 / (6.0 * ww)) * math.log(eta),
-            -ww * (-2.0 * ZP1() + 1.0 / 6.0 - math.log(2.0) / 6.0),
+            -ww * (-2.0 * ZP1 + 1.0 / 6.0 - math.log(2.0) / 6.0),
             -(5.0 / 12.0 - math.log(2.0) / 6.0 + EULER_GAMMA / 6.0) / ww,
             0.5 * math.log(ww),
             ww * math.log(ww) / 6.0,
@@ -62,7 +63,7 @@ def _small_eta(w, eta):
         (
             -(ww / 6.0 + 1.0 / (6.0 * ww)) * math.log(eta),
             -ww * (math.log(2.0) / 3.0 + 0.5 * (LOG_2PI - math.log(2.0))),
-            -(2.0 * ZP1() - 2.0 * SF._orbifold_gamma_sum(w) + 5.0 / 12.0 - math.log(2.0) / 6.0) / ww,
+            -(2.0 * ZP1 - 2.0 * SF._orbifold_gamma_sum(w) + 5.0 / 12.0 - math.log(2.0) / 6.0) / ww,
             0.5 * math.log(ww),
             ww * math.log(ww) / 6.0,
             math.log(ww) / (3.0 * ww),
@@ -75,7 +76,7 @@ def _orbifold_terms(w, eta):
     return (
         -(ww + 1.0 / ww) / 6.0 * D._log_tanh_half(eta),
         (3.0 - 8.0 * math.cosh(eta)) / (12.0 * ww),
-        -2.0 * ZP1() / ww,
+        -2.0 * ZP1 / ww,
         2.0 * SF._orbifold_gamma_sum(w) / ww,
         -0.5 * ww * LOG_2PI,
         (ww + 3.0 + 2.0 / ww) / 6.0 * math.log(ww),
@@ -83,14 +84,14 @@ def _orbifold_terms(w, eta):
 
 
 def _flat_disk(r):
-    return math.fsum((-math.log(r) / 3.0, math.log(2.0) / 3.0, -2.0 * ZP1(), -5.0 / 12.0, -0.5 * LOG_2PI))
+    return math.fsum((-math.log(r) / 3.0, math.log(2.0) / 3.0, -2.0 * ZP1, -5.0 / 12.0, -0.5 * LOG_2PI))
 
 
 def _poincare_cap(eta):
     return math.fsum(
         (
             -D._log_tanh_half(eta) / 3.0,
-            -2.0 * ZP1(),
+            -2.0 * ZP1,
             11.0 / 12.0,
             -4.0 / 3.0 * D._inv_sech_sq_half(eta),
             -0.5 * LOG_2PI,
@@ -170,8 +171,14 @@ class TestSpecialFunctions:
         # (0, 2.6e305): log Gamma overflows from about 2.58e305
         rng = random.Random(272)
         xs = [5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0, 9.99, 10.0, 2.55e305] + _log_uniform(rng, 5e-324, 2.55e305, 3000)
+        # the shift loop's edges: x + 1 rounds to 2.0 at 1 - 2^-53, and the
+        # core's passes of two shifts stop at 9; then a dense sample over
+        # (0, 12], where the loop runs
+        xs += [1.0 - 2.0**-53, 8.999999999999998, 9.0, 9.000000000000002, 9.5, 9.999999999999998]
+        xs += [12.0 - rng.uniform(0.0, 12.0) for _ in range(20000)]
         for x in xs:
             want = _log_gamma(x)
+            assert SF._log_gamma(x).hex() == want.hex(), x
             assert log_gamma(x).hex() == want.hex(), x
             assert hurwitz_zeta_sderiv(0.0, x).hex() == (want - 0.5 * LOG_2PI).hex(), x
 

@@ -42,7 +42,6 @@ ROOT_NAMES = [
     "pa_annulus_numeric",
     "pa_disk_numeric",
     "rescale_logdet",
-    "riemann_zeta_prime_minus1",
     "small_eta_asymptotics",
     "verify_identities",
     "zeta0_spindle",

@@ -22,7 +22,6 @@ from conedet.special_functions import (
     hurwitz_zeta_sderiv,
     im_log_gamma,
     log_gamma,
-    riemann_zeta_prime_minus1,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -298,7 +297,7 @@ class TestHurwitzSDeriv:
             assert abs(hurwitz_zeta_sderiv(s, x) - want) <= 1e-12, (s, x)
 
     def test_zeta_prime_minus1_consistency(self):
-        assert abs(hurwitz_zeta_sderiv(-1.0, 1.0) - riemann_zeta_prime_minus1()) <= 1e-11
+        assert abs(hurwitz_zeta_sderiv(-1.0, 1.0) - SF._ZETA_PRIME_MINUS_ONE) <= 1e-11
 
     def test_at_zero_log_gamma_form(self):
         for x in (0.1, 0.35, 1.0, 2.0, 3.0):
@@ -347,11 +346,11 @@ class TestRiemannZetaPrimeMinus1:
     def test_value(self):
         mpmath.mp.dps = 30
         want = float(mpmath.zeta(-1, 1, 1))
-        assert abs(riemann_zeta_prime_minus1() - want) <= 2e-16
+        assert abs(SF._ZETA_PRIME_MINUS_ONE - want) <= 2e-16
 
     def test_matches_barnes_at_unit_args(self):
         res = barnes_zeta_prime0(BarnesArgs(1.0, 1.0, 1.0))
-        assert abs(res.value - riemann_zeta_prime_minus1()) <= res.abs_err + 1e-12
+        assert abs(res.value - SF._ZETA_PRIME_MINUS_ONE) <= res.abs_err + 1e-12
 
 
 def _mp_binet(z):
@@ -443,7 +442,7 @@ class TestBarnes:
             assert warm == cold, w
 
     def test_orbifold_w1_is_stored_constant(self):
-        assert barnes_zeta_prime0_orbifold(1) == riemann_zeta_prime_minus1()
+        assert barnes_zeta_prime0_orbifold(1) == SF._ZETA_PRIME_MINUS_ONE
 
     def test_shift_recurrence(self):
         # removing the m=0 row of the double series:
