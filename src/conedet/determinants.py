@@ -29,11 +29,12 @@ from functools import lru_cache
 from . import pa_oracle
 from .special_functions import (
     _ETA_MAX,
+    _HALF_LOG_2PI,
     _LOG_2,
+    _SERIES_EDGE,
     _TINY,
     _ZETA_PRIME_MINUS_ONE,
     EULER_GAMMA,
-    LOG_2PI,
     BarnesArgs,
     EvalResult,
     _barnes_a11_series,
@@ -133,7 +134,6 @@ class IdentityReport(_Record):
 
 
 # Terms that depend on no input, taken once, as in special_functions.
-# LOG_2PI terms stay inline: the tests' route-mutation table patches this name.
 _TWO_ZETA_PRIME = 2.0 * _ZETA_PRIME_MINUS_ONE
 _LOG_2_OVER_3 = _LOG_2 / 3.0
 _LOG_2_OVER_6 = _LOG_2 / 6.0
@@ -151,15 +151,6 @@ def _log_tanh_half(eta: float) -> float:
 def _inv_sech_sq_half(eta: float) -> float:
     # (1 - tanh(eta/2)^2)^(-1) = (1 + cosh eta)/2
     return 0.5 * (1.0 + math.cosh(eta))
-
-
-# _barnes_a11 takes the quadrature for 1/_SERIES_EDGE < a < _SERIES_EDGE and
-# the spectral series elsewhere.  With m = min(a, 1/a), the series' truncation
-# bound 13.41 m^21 must stay below its rounding floor: at m = 1/5 it is
-# 2.8e-14, under the floors 5.4e-14 at a = 1/5 and 7.6e-14 at a = 5.  The
-# bound meets the floor at a = 0.2062 and at a = 4.775, so 1/5 and 5 are the
-# round edges the rule allows.
-_SERIES_EDGE = 5.0
 
 
 @lru_cache(maxsize=512)
@@ -196,7 +187,7 @@ def logdet_hyperbolic_cone(g: ConeGeometry) -> EvalResult:
         (3.0 - 8.0 * math.cosh(eta)) / 12.0 * a,
         -2.0 * bz.value,
         -(a + 3.0 + inv_a) / 6.0 * math.log(a),
-        -0.5 * LOG_2PI,
+        -_HALF_LOG_2PI,
     )
     return _fsum_result(terms, "hyperbolic-cone", 2.0 * bz.abs_err, ("a", "eta"), (a, eta))
 
@@ -212,7 +203,7 @@ def logdet_orbifold_cone(w: int, eta: float) -> EvalResult:
         (3.0 - 8.0 * math.cosh(eta)) / (12.0 * ww),
         -_TWO_ZETA_PRIME / ww,
         2.0 * _orbifold_gamma_sum(w) / ww,
-        -0.5 * ww * LOG_2PI,
+        -ww * _HALF_LOG_2PI,
         (ww + 3.0 + 2.0 / ww) / 6.0 * math.log(ww),
     )
     return _fsum_result(terms, "orbifold-cone", 0.0, ("w", "eta"), (w, eta))
@@ -228,7 +219,7 @@ def small_eta_asymptotics(w: int, eta: float) -> float:
     return math.fsum(
         (
             -(ww / 6.0 + 1.0 / (6.0 * ww)) * math.log(eta),
-            -ww * (_LOG_2_OVER_3 + 0.5 * (LOG_2PI - _LOG_2)),
+            -ww * (_LOG_2_OVER_3 + (_HALF_LOG_2PI - 0.5 * _LOG_2)),
             -(_TWO_ZETA_PRIME - 2.0 * _orbifold_gamma_sum(w) + 5.0 / 12.0 - _LOG_2_OVER_6) / ww,
             0.5 * log_w,
             ww * log_w / 6.0,
@@ -292,7 +283,7 @@ def zeta_prime0_spherical_cone(a: float, K: float) -> EvalResult:
         -0.25 * a,
         (a + 3.0 + inv_a) / 6.0 * math.log(a),
         -(a + inv_a) / 12.0 * math.log(K),
-        0.5 * LOG_2PI,
+        _HALF_LOG_2PI,
     )
     return _fsum_result(terms, "spherical-cone-zeta-prime0", 2.0 * bz.abs_err, ("a", "K"), (a, K))
 
@@ -310,7 +301,7 @@ def zeta_prime0_unit_disk_cone(g: CurvedDiskGeometry) -> EvalResult:
         -11.0 / 12.0 * a,
         (a + 3.0 + inv_a) / 6.0 * math.log(a),
         4.0 / 3.0 * a / (K + 1.0),
-        0.5 * LOG_2PI,
+        _HALF_LOG_2PI,
     )
     return _fsum_result(terms, "disk-cone-zeta-prime0", 2.0 * bz.abs_err, ("a", "K"), (a, K))
 
@@ -330,7 +321,7 @@ def logdet_flat_disk(r: float) -> float:
             _LOG_2_OVER_3,
             -_TWO_ZETA_PRIME,
             -5.0 / 12.0,
-            -0.5 * LOG_2PI,
+            -_HALF_LOG_2PI,
         )
     )
 
@@ -345,7 +336,7 @@ def logdet_poincare_cap(eta: float) -> float:
             -_TWO_ZETA_PRIME,
             11.0 / 12.0,
             -4.0 / 3.0 * _inv_sech_sq_half(eta),
-            -0.5 * LOG_2PI,
+            -_HALF_LOG_2PI,
         )
     )
 

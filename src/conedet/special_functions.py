@@ -4,17 +4,16 @@ Everything here is self-contained double-precision scalar code:
 
 * log-gamma (real, and the imaginary part along vertical lines) from the
   first eight terms of the Stirling series after shifting the argument to
-  Re z >= 10.  _stirling sums that series at real z for Binet's function
-  mu(z), which is the same series plus its unit shifts.  _im_stirling sums
-  it at complex z inline, and the Barnes quadrature node makes the same
-  operations inline too, so that each node runs in one frame.  Real
-  log-gamma runs in one frame as well: its core _log_gamma multiplies its
-  unit-shift factors into one product, two per pass, takes a single
-  logarithm of it, and sums the series inline in _stirling's Horner form.
-  The public log_gamma validates its argument and its result once around
-  that unchecked core; the orbifold log-gamma sum, whose arguments j/w are
-  valid by construction, calls the core, and so makes the same operations
-  without the checks,
+  Re z >= 10.  Each function that needs the series sums it in its own
+  frame: _binet at real z for Binet's function mu(z), which is the same
+  series plus its unit shifts, and _im_stirling and the Barnes quadrature
+  node at complex z, by the same operations.  The real log-gamma core
+  _log_gamma multiplies its unit-shift factors into one product, two per
+  pass, takes a single logarithm of it, and sums the series in the same
+  Horner form.  The public log_gamma validates its argument and its result
+  once around that unchecked core; the orbifold log-gamma sum, whose
+  arguments j/w are valid by construction, calls the core, and so makes
+  the same operations without the checks,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
@@ -152,6 +151,15 @@ _BARNES_SERIES = tuple(c * (1.0 + _ZETA_MINUS_ONE[2 * k - 3]) for k, c in enumer
 # Above B_22 / (22 * 21) * zeta(21) = 13.4029, the first omitted coefficient
 # of that series.
 _BARNES_SERIES_NEXT = 13.41
+
+# determinants._barnes_a11 takes zeta_B'(0; a, 1, 1) from this series for
+# a <= 1/_SERIES_EDGE and a >= _SERIES_EDGE, from the quadrature between.
+# With m = min(a, 1/a), the series' truncation bound _BARNES_SERIES_NEXT m^21
+# must stay below its rounding floor: at m = 1/5 it is 2.8e-14, under the
+# floors 5.4e-14 at a = 1/5 and 7.6e-14 at a = 5.  The bound meets the floor
+# at a = 0.2062 and at a = 4.775, so 1/5 and 5 are the round edges the rule
+# allows.
+_SERIES_EDGE = 5.0
 
 # 1/12 - zeta_R'(-1) = log(Glaisher constant)
 _LOG_GLAISHER = 0.2487544770337842625472530
@@ -337,31 +345,23 @@ def _finite(value: float, what: str, names: tuple[str, ...], values: tuple[float
     raise ValueError(f"{listed} put {what} beyond the float range, got {got}")
 
 
-def _stirling(z: float) -> float:
-    """The Stirling series sum_j B_2j / (2j (2j-1)) z^(1-2j) of log Gamma,
-    its first eight terms, for real z >= _STIRLING_EDGE, summed by Horner in
-    1/z^2: Binet's function mu(z) to double precision, for _binet.
-    _log_gamma sums the same Horner form inline at real z, and _im_stirling
-    and the Barnes node at complex z."""
-    # unrolled: a loop over the coefficients costs more per call
-    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
-    inv = 1.0 / z
-    u = inv * inv
-    return inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
-
-
 def _binet(z: float) -> float:
     """Binet's function mu(z) = log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2
     for z > 0, the Stirling series after the unit shifts
     mu(z) = mu(z + 1) + (z + 1/2) log(1 + 1/z) - 1 bring z to _STIRLING_EDGE
     or above.  Below z = 1, log(1 + 1/z) is taken as log(1 + z) - log z,
-    which stays finite for subnormal z."""
+    which stays finite for subnormal z.  The series is its first eight
+    terms sum_j B_2j / (2j (2j-1)) z^(1-2j), by Horner in 1/z^2."""
     shift = 0.0
     while z < _STIRLING_EDGE:
         log_ratio = math.log1p(1.0 / z) if z >= 1.0 else math.log1p(z) - math.log(z)
         shift += (z + 0.5) * log_ratio - 1.0
         z += 1.0
-    return _stirling(z) + shift
+    # unrolled: a loop over the coefficients costs more per call
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
+    inv = 1.0 / z
+    u = inv * inv
+    return inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8))))))) + shift
 
 
 def log_gamma(x: float) -> float:
@@ -383,8 +383,7 @@ def _log_gamma(x: float) -> float:
     single logarithm.  Below x = 1 the first factor, x itself, takes its
     own logarithm, so every factor of the product lies in [1, 10) and the
     product below 10!.  The core runs in one frame: it takes the shifts two
-    per pass, and sums the series inline in the Horner form of _stirling,
-    which serves only _binet."""
+    per pass, and sums the series inline in the Horner form of _binet."""
     log = math.log
     y = x
     shift = 0.0
@@ -656,7 +655,7 @@ def _barnes_a11_series(a: float) -> EvalResult:
     sum_{k=2}^{10} B_2k / (2k (2k-1)) zeta(2k-1) a^(2k-1).  For real nu > 0
     the Stirling series is enveloping (DLMF 5.11(ii)), so the error is below
     the first omitted term, 13.41 a^21; the bar is that plus the rounding
-    floor, which it stays below for a <= 1/5 (2.8e-14 at a = 1/5).
+    floor, which it stays below for a <= 1/_SERIES_EDGE.
 
     Above a = 1 the series is taken at 1/a, through the exact reflection
         zeta_B'(0; a, 1, 1) = zeta_B'(0; 1/a, 1, 1) - log a ((a + 1/a)/12 + 1/4),
@@ -671,7 +670,7 @@ def _barnes_a11_series(a: float) -> EvalResult:
         m, lead = 1.0 / a, _LOG_GLAISHER * a
         log_a = math.log(a)
         reflection = (-log_a / 12.0 * a, -log_a / 12.0 * m, -0.25 * log_a)
-    # Horner in m^2, unrolled as in _stirling
+    # Horner in m^2, unrolled as in _binet
     c2, c3, c4, c5, c6, c7, c8, c9, c10 = _BARNES_SERIES
     m2 = m * m
     series = c2 + m2 * (c3 + m2 * (c4 + m2 * (c5 + m2 * (c6 + m2 * (c7 + m2 * (c8 + m2 * (c9 + m2 * c10)))))))

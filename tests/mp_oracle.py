@@ -20,6 +20,12 @@ log-gamma sum from mpmath, and the Poincare cap, the hyperbolic cone at
 a = 1.  tests/test_determinants.py holds the package's values at small
 radii within their error bars of these.
 
+stirling_remainder_sum(a) takes S(a) = sum_{n>=1} R(n/a) at 30 digits,
+where R(nu) = mu(nu) - 1/(12 nu) is the remainder of Binet's function mu
+past its first Stirling term.  The published small-radius expansion of
+the orbifold cone differs from the package's by 1/4 + 2 S(1/w), and
+tests/test_determinants.py holds that difference to this sum.
+
 barnes also gives the generator of the AUDIT table in
 tests/test_error_bar_audit.py its values of zeta_B'(0; a, 1, 1) for
 1/8 < a <= 1; on 1/8 < a <= 1/5 the package takes the spectral series, so
@@ -100,6 +106,25 @@ def poincare_cap(eta):
             - mp.mpf(2) / 3 * (1 + mp.cosh(eta))
             - mp.log(2 * mp.pi) / 2
         )
+
+
+def stirling_remainder_sum(a):
+    """S(a) = sum_{n>=1} R(n/a), R(nu) = mu(nu) - 1/(12 nu), at 30 digits,
+    as an mpf."""
+    with mp.workdps(30):
+        a = mp.mpf(a)
+
+        def remainder(n):
+            nu = n / a
+            # log Gamma(nu), about nu log nu, cancels down to R(nu), about
+            # nu^-3/360, so each term, log(2 pi) included, takes the digits
+            # it loses as guard digits; without them the extrapolation of
+            # the sum fails
+            with mp.extradps(10 + max(0, int(4 * mp.log10(nu)))):
+                r = mp.loggamma(nu) - (nu - mp.mpf(1) / 2) * mp.log(nu) + nu - mp.log(2 * mp.pi) / 2 - 1 / (12 * nu)
+            return +r
+
+        return mp.nsum(remainder, [1, mp.inf])
 
 
 def _row(key, a, b, x):

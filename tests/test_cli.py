@@ -27,7 +27,7 @@ from conedet.determinants import (
 
 def _in_window(a):
     # whether _barnes_a11 takes the quadrature at a, not the spectral series
-    return 1.0 / determinants._SERIES_EDGE < a < determinants._SERIES_EDGE
+    return 1.0 / SF._SERIES_EDGE < a < SF._SERIES_EDGE
 
 
 def run(capsys, argv):

@@ -196,6 +196,16 @@ class TestAsymptotics:
         assert abs(d1 - 0.2443846809) <= 1e-9
         assert abs(d5 - 0.2499470874) <= 1e-9
 
+    def test_fp_discrepancy_is_the_stirling_remainder_sum(self):
+        # the published expansion differs from the closed form's by
+        # 1/4 + 2 S(1/w), with S(a) = sum_{n>=1} R(n/a) over the Stirling
+        # remainder R(nu) = mu(nu) - 1/(12 nu), here summed by mpmath; the
+        # difference is free of eta, so one radius serves
+        for w in (1, 2, 3, 5, 12, 200):
+            want = 0.25 + 2.0 * float(mp_oracle.stirling_remainder_sum(1.0 / w))
+            got = fp_asymptotics_reference(w, 0.3) - small_eta_asymptotics(w, 0.3)
+            assert abs(got - want) <= 2e-15 * (1.0 + w), w
+
     def test_fp_shares_leading_log_term(self):
         # both expansions carry the same -(w/6 + 1/(6w)) log eta term, so
         # eta-differences agree to roundoff
@@ -484,7 +494,7 @@ class TestVerifyIdentities:
         # series.  barnes-bridge reuses the cached values, and a warm call
         # runs none
         angles = {0.2, 0.5, 1.0, 2.0, 4.0, 5.0, *(1.0 / w for w in range(1, 13))}
-        edge = determinants._SERIES_EDGE
+        edge = SF._SERIES_EDGE
         calls = count_evals(SF)
         determinants._barnes_a11.cache_clear()
         verify_identities()
@@ -505,7 +515,7 @@ class TestVerifyIdentities:
 
     def test_mutation_is_detected(self, monkeypatch):
         # a perturbed constant must break at least one identity
-        monkeypatch.setattr(determinants, "LOG_2PI", LOG_2PI + 0.03)
+        monkeypatch.setattr(determinants, "_HALF_LOG_2PI", SF._HALF_LOG_2PI + 0.03)
         reports = verify_identities()
         assert any(not r.passed for r in reports)
 
@@ -547,10 +557,11 @@ ROUTE_TABLE = [
     (determinants, "annulus_ratio_closed_form", _plus, {"annulus-composition", "pa-annulus-dual-oracle"}),
     (pa_oracle, "pa_annulus_numeric", _plus_area, {"grad-quadrature-agreement", "pa-annulus-dual-oracle"}),
     (pa_oracle, "pa_disk_numeric", _plus_area, {"pa-disk-consistency"}),
-    (determinants, "LOG_2PI", lambda v: v + ROUTE_SHIFT, {"bfk-gluing", "orbifold-equality"}),
+    (determinants, "_HALF_LOG_2PI", lambda v: v + ROUTE_SHIFT, {"bfk-gluing", "orbifold-equality"}),
     # the fp-discrepancy identities compare the reference with itself at two
-    # radii, so a constant shift cancels; the reference is pinned only by
-    # TestAsymptotics.test_fp_discrepancy_frozen_values
+    # radii, so a constant shift cancels; the reference is pinned by
+    # TestAsymptotics, by its frozen values and by the mpmath sum in
+    # test_fp_discrepancy_is_the_stirling_remainder_sum
     (determinants, "fp_asymptotics_reference", _plus, set()),
 ]
 

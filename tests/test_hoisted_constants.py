@@ -8,7 +8,9 @@ tells -0.0 from 0.0, on seeded points and the edges of the domain.  The
 log-gamma core, which takes two unit shifts per pass and sums the Stirling
 series in its own frame, and the orbifold log-gamma sum, which skips
 log_gamma's checks, are held the same way to the written-out log-gamma,
-which takes one shift per pass and calls _stirling."""
+which takes one shift per pass, and Binet's function, which sums the same
+series in its own frame, to the written-out Binet's function; both sum the
+written-out eight-term Stirling series."""
 
 import math
 import random
@@ -99,6 +101,22 @@ def _poincare_cap(eta):
     )
 
 
+def _stirling(z):
+    c1, c2, c3, c4, c5, c6, c7, c8 = SF._STIRLING_8
+    inv = 1.0 / z
+    u = inv * inv
+    return inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
+
+
+def _binet(z):
+    shift = 0.0
+    while z < SF._STIRLING_EDGE:
+        log_ratio = math.log1p(1.0 / z) if z >= 1.0 else math.log1p(z) - math.log(z)
+        shift += (z + 0.5) * log_ratio - 1.0
+        z += 1.0
+    return _stirling(z) + shift
+
+
 def _log_gamma(x):
     y = x
     shift = 0.0
@@ -112,7 +130,7 @@ def _log_gamma(x):
         product *= y
         y += 1.0
     shift += math.log(product)
-    return (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + SF._stirling(y) - shift
+    return (y - 0.5) * math.log(y) - y + 0.5 * LOG_2PI + _stirling(y) - shift
 
 
 def _barnes_a11_series_terms(a):
@@ -181,6 +199,16 @@ class TestSpecialFunctions:
             assert SF._log_gamma(x).hex() == want.hex(), x
             assert log_gamma(x).hex() == want.hex(), x
             assert hurwitz_zeta_sderiv(0.0, x).hex() == (want - 0.5 * LOG_2PI).hex(), x
+
+    def test_binet(self):
+        # z >= 10, where Binet's function is the series alone, then the
+        # shift loop's edges, subnormal z included, and a dense sample over
+        # [1e-20, 10), where barnes_zeta_prime0 calls it and the loop runs
+        rng = random.Random(2731)
+        zs = [10.0, 1e3, 1e150, 1e300] + _log_uniform(rng, 10.0, 1e300, 3000)
+        zs += [1e-20, 5e-324, 1.0 - 2.0**-53, 1.0, 9.999999999999998] + _log_uniform(rng, 1e-20, 10.0, 20000)
+        for z in zs:
+            assert SF._binet(z).hex() == _binet(z).hex(), z
 
     def test_orbifold_gamma_sum(self):
         # the sum's terms take the unchecked core of log_gamma; each j/w is

@@ -382,11 +382,16 @@ class TestBinet:
 
     @given(z=st.floats(1.0, 300.0).map(lambda e: 10.0**e))
     def test_one_stirling_evaluator(self, z):
-        # above the shift edge Binet's function is the real series alone;
-        # the complex series, which _im_stirling sums inline, is real on the
-        # real axis and conjugate off it, so Im log Gamma is 0 there and odd
-        # in q, bit for bit
-        assert SF._binet(z) == SF._stirling(z)
+        # above the shift edge Binet's function is the real series alone,
+        # eight terms by Horner in 1/z^2, written out here; the complex
+        # series, which _im_stirling sums inline, is real on the real axis
+        # and conjugate off it, so Im log Gamma is 0 there and odd in q, bit
+        # for bit
+        c1, c2, c3, c4, c5, c6, c7, c8 = SF._STIRLING_8
+        inv = 1.0 / z
+        u = inv * inv
+        series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
+        assert SF._binet(z).hex() == series.hex()
         assert SF._im_stirling(z, 0.0) == 0.0
         for q in (1.0, z):
             assert SF._im_stirling(z, -q) == -SF._im_stirling(z, q)
@@ -760,15 +765,15 @@ class TestBarnesSeries:
 
     def test_truncation_stays_below_the_rounding_floor_at_the_edges(self):
         # the rule that places _barnes_a11's window edge
-        m = 1.0 / D._SERIES_EDGE
+        m = 1.0 / SF._SERIES_EDGE
         truncation = SF._BARNES_SERIES_NEXT * m**21
-        for a in (m, D._SERIES_EDGE):
+        for a in (m, SF._SERIES_EDGE):
             assert truncation < SF._barnes_a11_series(a).abs_err - truncation, a
 
     def test_bar_no_wider_than_the_quadrature_where_the_route_moved(self):
         # on (1/8, 1/5] and [5, 8) the series took over from the quadrature;
         # 100 log-spaced angles on each band, both ends included
-        edge = D._SERIES_EDGE
+        edge = SF._SERIES_EDGE
         for lo, hi in ((math.nextafter(0.125, 1.0), 1.0 / edge), (edge, math.nextafter(8.0, 0.0))):
             for a in [lo, *(lo * (hi / lo) ** (i / 99) for i in range(1, 99)), hi]:
                 res = D._barnes_a11(a)
