@@ -26,6 +26,11 @@ past its first Stirling term.  The published small-radius expansion of
 the orbifold cone differs from the package's by 1/4 + 2 S(1/w), and
 tests/test_determinants.py holds that difference to this sum.
 
+stirling_tail_integral(terms, s) takes, at 20 digits, how far the Barnes
+integral moves when its quadrature node stops the Stirling series of
+Im log Gamma after `terms` of its eight terms, at P = 10 and b/a = s.
+tests/test_special_functions.py holds the package's six-term node to it.
+
 barnes also gives the generator of the AUDIT table in
 tests/test_error_bar_audit.py its values of zeta_B'(0; a, 1, 1) for
 1/8 < a <= 1; on 1/8 < a <= 1/5 the package takes the spectral series, so
@@ -125,6 +130,32 @@ def stirling_remainder_sum(a):
             return +r
 
         return mp.nsum(remainder, [1, mp.inf])
+
+
+def stirling_tail_integral(terms, s):
+    """The part of the eight-term Stirling series of Im log Gamma(P + i s y)
+    past its first `terms` terms, integrated against the Barnes weight
+    -2 / (e^(2 pi y) - 1) over y > 0 at P = 10, at 20 digits, as an mpf:
+    how far a quadrature node that sums only `terms` of the eight moves the
+    Barnes integral.  Near y = 0 the tail is odd in s y, so the integrand
+    stays finite; it changes on the scale y ~ P/s, where tanh-sinh
+    quadrature gets a breakpoint every decade up to 1."""
+    with mp.workdps(20):
+        p, s = mp.mpf(10), mp.mpf(s)
+        coeffs = [mp.bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(terms + 1, 9)]
+
+        def tail(y):
+            z = mp.mpc(p, s * y)
+            dropped = mp.fsum(c * z ** (1 - 2 * j) for j, c in enumerate(coeffs, terms + 1))
+            return -2 * mp.im(dropped) / mp.expm1(2 * mp.pi * y)
+
+        knee = p / s
+        points = [mp.mpf(0)]
+        while knee < 1:
+            points.append(knee)
+            knee *= 10
+        points += [1, 2, 4, 8, mp.inf]
+        return mp.quad(tail, points)
 
 
 def _row(key, a, b, x):

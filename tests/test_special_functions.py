@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mp_oracle
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
@@ -266,7 +267,18 @@ class TestHurwitzZeta:
                 want = float(mpmath.zeta(-n, x))
                 assert abs(hurwitz_zeta(-float(n), x) - want) <= 1e-14 * (1.0 + abs(want)), (n, x)
 
+    def test_minus_one_squares_x_correctly_rounded(self):
+        # zeta(-1, x) takes x^2 correctly rounded, as x * x; a pow-based
+        # x ** 2.0 can miss it by one ulp, as glibc's does at both points,
+        # and at the second that ulp reaches the value
+        assert float(Fraction(0.08383719893567662) ** 2).hex() == "0x1.cca19d3bd3252p-8"
+        for x in (0.08383719893567662, 45.18828896047281):
+            square = float(Fraction(x) ** 2)
+            assert hurwitz_zeta(-1.0, x) == square / -2.0 + 0.5 * x - 1.0 / 12.0, x
+
     def test_overflow_names_s_and_x(self):
+        with pytest.raises(ValueError, match=r"^s and x put the Hurwitz zeta beyond the float range"):
+            hurwitz_zeta(-1.0, 1e200)
         for f in (hurwitz_zeta, hurwitz_zeta_sderiv):
             with pytest.raises(ValueError, match=r"^s and x put .* got s = .*, x = "):
                 f(-1.0, 1e300)
@@ -406,6 +418,21 @@ class TestBinet:
         assert abs(SF._binet(z) - want) <= 1e-15 * (1.0 + abs(want))
 
 
+def _six_term_node(p, s, y):
+    # the Barnes node's arithmetic: _im_stirling's, with its Stirling
+    # series stopped at six terms, over expm1(2 pi y)
+    c1, c2, c3, c4, c5, c6 = SF._STIRLING[:6]
+    q = s * y
+    z = complex(p, q)
+    log_z = cmath.log(z)
+    inv = 1.0 / z
+    u = inv * inv
+    series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * c6)))))
+    arg = log_z.imag
+    arg_term = q * (1.0 - 0.5 / p) if arg < 2.2250738585072014e-308 else (p - 0.5) * arg
+    return -2.0 * (arg_term + q * log_z.real - q + series.imag) / math.expm1(2.0 * math.pi * y)
+
+
 class TestBarnes:
     def test_bridge_against_orbifold_closed_form(self):
         for w in range(1, 13):
@@ -474,11 +501,13 @@ class TestBarnes:
 
     def test_integrand_is_im_stirling_inline(self):
         # the node is -2 _im_stirling(p, s y) / expm1(2 pi y) written out in
-        # one frame, so the two agree bit for bit: on random points with
-        # p in [10, 11), s log-uniform in [1e-300, 1e300] and y in (0, 60],
-        # and on points chosen so that arg z = s y / p is below the smallest
-        # normal float, where the node takes its linear arg term (no random
-        # draw over that range reaches it)
+        # one frame with the Stirling series stopped at six terms: bit for
+        # bit that arithmetic, written out below, and within 4 ulps of the
+        # eight-term _im_stirling, on random points with p in [10, 11), s
+        # log-uniform in [1e-300, 1e300] and y in (0, 60], and on points
+        # chosen so that arg z = s y / p is below the smallest normal float,
+        # where the node takes its linear arg term (no random draw over that
+        # range reaches it)
         normal_min = 2.2250738585072014e-308
         rng = random.Random(20250)
         points = [
@@ -493,8 +522,10 @@ class TestBarnes:
         tiny_arg = [cmath.log(complex(p, s * y)).imag < normal_min for p, s, y in points]
         assert sum(tiny_arg) == sum(tiny_arg[1950:]) == 50
         for p, s, y in points:
+            got = _barnes_integrand(p, s)(y)
+            assert got.hex() == _six_term_node(p, s, y).hex(), (p, s, y)
             want = -2.0 * SF._im_stirling(p, s * y) / math.expm1(2.0 * math.pi * y)
-            assert _barnes_integrand(p, s)(y).hex() == want.hex(), (p, s, y)
+            assert abs(got - want) <= 4.0 * math.ulp(want), (p, s, y)
         # every tenth point, five of them in the linear branch, against
         # mpmath; rounding 2 pi y costs up to 2 pi y ulps of e^(2 pi y), and
         # values below the normal range keep a few subnormal steps
@@ -504,6 +535,20 @@ class TestBarnes:
             want = float(-2 * mpmath.im(mpmath.loggamma(mpmath.mpc(p, q))) / mpmath.expm1(2 * mpmath.pi * y))
             got = _barnes_integrand(p, s)(y)
             assert abs(got - want) <= 4 * 2**-52 * (1.0 + 2.0 * math.pi * y) * abs(want) + 2e-323, (p, s, y)
+
+    def test_six_stirling_terms_stay_below_the_rounding_floor(self):
+        # the rule that sets the node's term count: at P = 10, the smallest
+        # Re z a node takes, the terms it drops from the eight-term series,
+        # integrated, stay below a tenth of the rounding floor that every
+        # bar carries, over twenty-seven decades of b/a; five terms do not
+        assert SF._STIRLING_6 == SF._STIRLING[:6]
+        assert SF._STIRLING_EDGE == 10.0
+        floor = SF._fsum_result((0.0,), "barnes-integral", 0.0, ("a",), (1.0,)).abs_err
+        assert floor == 2e-14
+        scales = (1e-12, 1e-4, 1.0, 1e4, 1e11, 1e15)
+        six = max(abs(mp_oracle.stirling_tail_integral(6, s)) for s in scales)
+        five = max(abs(mp_oracle.stirling_tail_integral(5, s)) for s in scales)
+        assert six < floor / 10.0 <= five
 
     def test_result_metadata(self):
         res = barnes_zeta_prime0(BarnesArgs(0.5, 1.0, 1.0))
