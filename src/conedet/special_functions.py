@@ -12,9 +12,11 @@ Everything here is self-contained double-precision scalar code:
   _log_gamma multiplies its unit-shift factors into one product, two per
   pass, takes a single logarithm of it, and sums the series in the same
   Horner form.  The public log_gamma validates its argument and its result
-  once around that unchecked core; the orbifold log-gamma sum, whose
-  arguments j/w are valid by construction, calls the core, and so makes
-  the same operations without the checks,
+  once around that unchecked core.  The orbifold log-gamma sum, whose
+  arguments j/w all lie in (0, 1), writes out the core's path for x < 1
+  in its own loop: log x, exactly nine unit shifts, one logarithm of
+  their product and the same series, in the core's order, so each term
+  keeps the core's bits,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
@@ -695,10 +697,48 @@ def _barnes_a11_series(a: float) -> EvalResult:
 # ROADMAP item 1, the peak-RSS reading that grows with sweep throughput.
 @lru_cache(maxsize=1)
 def _orbifold_gamma_sum(w: int) -> float:
-    # sum_{j=1}^{w-1} j log Gamma(j/w); each j/w is a float in (0, 1), so
-    # the terms take the unchecked core
+    # sum_{j=1}^{w-1} j log Gamma(j/w), each term by the operations of
+    # _log_gamma in its order, written out in this loop.  _checked_w keeps
+    # w <= 200, so x = j/w lies in [1/200, 199/200]: x takes its own
+    # logarithm, y = x + 1 lies in (1, 2), and exactly nine unit shifts
+    # bring y to [10, 11), at or above _STIRLING_EDGE.
+    # test_orbifold_gamma_sum in tests/test_hoisted_constants.py holds the
+    # sum of every order, by float.hex, to the sum of the written-out
+    # log-gamma that the same file holds _log_gamma to;
+    # test_orbifold_sum_takes_nine_unit_shifts in
+    # tests/test_special_functions.py holds the nine shifts.
+    log = math.log
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
     ww = float(w)
-    return math.fsum([j * _log_gamma(j / ww) for j in range(1, w)])
+    terms = []
+    for j in range(1, w):
+        x = j / ww
+        shift = log(x)
+        y = x + 1.0
+        product = y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        product *= y
+        y += 1.0
+        shift += log(product)
+        inv = 1.0 / y
+        u = inv * inv
+        series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
+        terms.append(j * ((y - 0.5) * log(y) - y + _HALF_LOG_2PI + series - shift))
+    return math.fsum(terms)
 
 
 def barnes_zeta_prime0_orbifold(w: int) -> float:

@@ -6,13 +6,14 @@ value keeps its bits.  Each test below writes the formula out with those
 terms computed per call, and compares the two by float.hex, which also
 tells -0.0 from 0.0, on seeded points and the edges of the domain.  The
 log-gamma core, which takes two unit shifts per pass and sums the Stirling
-series in its own frame, and the orbifold log-gamma sum, which skips
-log_gamma's checks, are held the same way to the written-out log-gamma,
-which takes one shift per pass, and Binet's function, which sums the same
-series in its own frame, to the written-out Binet's function; both sum the
-written-out eight-term Stirling series.  The Barnes quadrature node, which
-sums only six terms of that series, is held to its own written-out
-arithmetic, and within 4 ulps to the eight-term Im log Gamma."""
+series in its own frame, and the orbifold log-gamma sum, which makes the
+core's nine unit shifts below 1 in its own loop, are held the same way to
+the written-out log-gamma, which takes one shift per pass, and Binet's
+function, which sums the same series in its own frame, to the written-out
+Binet's function; both sum the written-out eight-term Stirling series.
+The Barnes quadrature node, which sums only six terms of that series, is
+held to its own written-out arithmetic, and within 4 ulps to the
+eight-term Im log Gamma."""
 
 import cmath
 import math
@@ -229,8 +230,8 @@ class TestSpecialFunctions:
             assert SF._binet(z).hex() == _binet(z).hex(), z
 
     def test_orbifold_gamma_sum(self):
-        # the sum's terms take the unchecked core of log_gamma; each j/w is
-        # a valid float, so every sum keeps the bits of the validated terms
+        # the sum writes out the core's x < 1 path with its nine unit shifts
+        # in its own loop; every sum keeps the bits of the written-out terms
         for w in range(1, 201):
             ww = float(w)
             want = math.fsum(j * _log_gamma(j / ww) for j in range(1, w))

@@ -476,6 +476,27 @@ class TestBarnes:
     def test_orbifold_w1_is_stored_constant(self):
         assert barnes_zeta_prime0_orbifold(1) == SF._ZETA_PRIME_MINUS_ONE
 
+    def test_orbifold_sum_takes_nine_unit_shifts(self):
+        # the sum writes out log_gamma's x < 1 path with exactly nine unit
+        # shifts: every j/w that _checked_w lets through has j/w + 1 in
+        # (1, 2), and nine steps of += 1.0 end in [10, 11)
+        for w in range(1, 201):
+            ww = float(w)
+            for j in range(1, w):
+                y = j / ww + 1.0
+                assert 1.0 < y < 2.0, (j, w)
+                for _ in range(9):
+                    y += 1.0
+                assert SF._STIRLING_EDGE <= y < 11.0, (j, w)
+        # a larger order is refused before any sum is computed
+        SF._orbifold_gamma_sum.cache_clear()
+        with pytest.raises(ValueError):
+            SF._checked_w(201)
+        for evaluate in (barnes_zeta_prime0_orbifold, lambda w: D.logdet_orbifold_cone(w, 1.0)):
+            with pytest.raises(ValueError):
+                evaluate(201)
+        assert SF._orbifold_gamma_sum.cache_info().misses == 0
+
     def test_shift_recurrence(self):
         # removing the m=0 row of the double series:
         # z'(0;a,b,x) - z'(0;a,b,x+a) = -log(b) (1/2 - x/b) + log Gamma(x/b) - 1/2 log 2pi
