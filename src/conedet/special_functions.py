@@ -2,27 +2,26 @@
 
 Everything here is self-contained double-precision scalar code:
 
-* log-gamma (real, and the imaginary part along vertical lines) from the
-  first eight terms of the Stirling series after shifting the argument to
-  Re z >= 10.  Each function that needs the series sums it in its own
-  frame: _binet at real z for Binet's function mu(z), which is the same
-  series plus its unit shifts, and _im_stirling at complex z.  The Barnes
-  quadrature node sums only the first six terms, whose dropped tail stays
-  far below the rounding floor of the integral.  The real log-gamma core
-  _log_gamma multiplies its unit-shift factors into one product, two per
-  pass, takes a single logarithm of it, and sums the series in the same
-  Horner form.  The public log_gamma validates its argument and its result
-  once around that unchecked core.  The orbifold log-gamma sum, whose
-  arguments j/w all lie in (0, 1), writes out the core's path for x < 1
-  in its own loop: log x, exactly nine unit shifts, one logarithm of
-  their product and the same series, in the core's order, so each term
-  keeps the core's bits,
+* log-gamma, real and along vertical lines.  The real core _log_gamma is
+  math.lgamma, with inf where the value overflows; the public log_gamma
+  validates its argument and its result once around it.  The others sum
+  the first eight terms of the Stirling series after shifting the
+  argument to Re z >= 10, each in its own frame: _im_stirling at complex
+  z, _binet at real z for Binet's function mu(z), which is the same series
+  plus its unit shifts, and the orbifold log-gamma sum, whose arguments
+  j/w all lie in (0, 1), in its own loop (log x, exactly nine unit shifts,
+  one logarithm of their product, the series), pinned by
+  test_orbifold_gamma_sum until math.lgamma replaces it too (ROADMAP
+  item 8).  The Barnes quadrature node sums only the first six terms,
+  whose dropped tail stays far below the rounding floor of the integral,
 * digamma from its own asymptotic series, the table _DIGAMMA, after
   shifting the argument to x >= 12,
 * Hurwitz zeta and its s-derivative at s = 0 and -1, the only values the
   Barnes term needs: the values are Bernoulli polynomials, the derivative
   at 0 is Lerch's log-gamma formula, and the derivative at -1 a Taylor
-  series in x after unit shifts in x, or an asymptotic series for large x,
+  series in x after unit shifts in x, or an asymptotic series for large x.
+  The Barnes term reads them, and log-gamma, from the same unchecked cores
+  that the public functions validate around,
 * the derivative at 0 of the two-variable Barnes zeta
   sum_{m,n>=0} (a m + b n + x)^(-s), evaluated through an integral
   representation whose integrand decays like exp(-2 pi y); the unit
@@ -375,9 +374,9 @@ def _binet(z: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, computed by _log_gamma.  Raises a ValueError
-    naming x where x is not a positive finite real or where the value
-    overflows, from about x = 2.6e305 up."""
+    """log Gamma(x) for x > 0, computed by _log_gamma, math.lgamma.  Raises
+    a ValueError naming x where x is not a positive finite real or where
+    the value overflows, from about x = 2.56e305 up."""
     x = _real("x", x, 0.0, open_lo=True)
     value = _log_gamma(x)
     if value < math.inf:  # the inline test spares the hot path a call
@@ -387,39 +386,11 @@ def log_gamma(x: float) -> float:
 
 def _log_gamma(x: float) -> float:
     """log Gamma(x) for a float x > 0 that is already valid, without the
-    checks of log_gamma: inf where the value overflows.  It is the Stirling
-    series at y = x + n >= 10 less log(x (x + 1) ... (x + n - 1)).  The
-    unit-shift factors are multiplied into one product, which takes a
-    single logarithm.  Below x = 1 the first factor, x itself, takes its
-    own logarithm, so every factor of the product lies in [1, 10) and the
-    product below 10!.  The core runs in one frame: it takes the shifts two
-    per pass, and sums the series inline in the Horner form of _binet."""
-    log = math.log
-    y = x
-    shift = 0.0
-    if y < 1.0:
-        shift = log(y)
-        y += 1.0
-    elif y == 1.0 or y == 2.0:  # Gamma(1) = Gamma(2) = 1; the series misses by an ULP
-        return 0.0
-    product = 1.0
-    # y < 9 keeps y + 1 below 10 after rounding, so each pass makes two
-    # steps of a one-per-pass loop to 10, in its order; from y >= 9 that
-    # loop makes at most one more
-    while y < 9.0:
-        product *= y
-        y += 1.0
-        product *= y
-        y += 1.0
-    if y < _STIRLING_EDGE:
-        product *= y
-        y += 1.0
-    shift += log(product)
-    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING_8
-    inv = 1.0 / y
-    u = inv * inv
-    series = inv * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (c7 + u * c8)))))))
-    return (y - 0.5) * log(y) - y + _HALF_LOG_2PI + series - shift
+    checks of log_gamma: math.lgamma(x), and inf where it overflows."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def im_log_gamma(p: float, q: float) -> float:
@@ -522,18 +493,26 @@ def _zeta_sderiv_minus1(x: float) -> float:
     return _ZETA_PRIME_MINUS_ONE + poly + shift
 
 
+def _zeta0(x: float) -> float:
+    """zeta(0, x) = -B_1(x) = 1/2 - x."""
+    return 0.5 - x
+
+
+def _zeta_minus1(x: float) -> float:
+    """zeta(-1, x) = -B_2(x)/2 = -x^2/2 + x/2 - 1/12, squaring by x * x,
+    which is correctly rounded where a pow-based x ** 2.0 need not be."""
+    return x * x / -2.0 + 0.5 * x - 1.0 / 12.0
+
+
 def _hurwitz(s: float, x: float, sderiv: bool) -> float:
     s = _real("s", s)
     if s != 0.0 and s != -1.0:
         raise ValueError(f"s must be 0 or -1, got {s!r}")
     x = _real("x", x, 0.0, open_lo=True)
-    try:
-        if s == 0.0:
-            value = log_gamma(x) - _HALF_LOG_2PI if sderiv else 0.5 - x
-        else:
-            value = _zeta_sderiv_minus1(x) if sderiv else x * x / -2.0 + 0.5 * x - 1.0 / 12.0
-    except (OverflowError, ValueError):  # log_gamma(x) overflowed; x * x gives inf instead
-        value = math.inf
+    if s == 0.0:
+        value = _log_gamma(x) - _HALF_LOG_2PI if sderiv else _zeta0(x)
+    else:
+        value = _zeta_sderiv_minus1(x) if sderiv else _zeta_minus1(x)
     return _finite(value, "the Hurwitz zeta", ("s", "x"), (s, x))
 
 
@@ -638,19 +617,16 @@ def barnes_zeta_prime0(args: BarnesArgs) -> EvalResult:
     seeds.append(y_end)
     integral, quad_err = adaptive_quadrature(_barnes_integrand(p_shifted, scale), seeds)
 
+    # p is a valid x for the Hurwitz and log-gamma cores; where p^2 or
+    # log Gamma(p) overflows they give inf or nan, and _fsum_result raises
     r = a / b
-    try:
-        zh_m1 = hurwitz_zeta(-1.0, p)
-        dzh_m1 = hurwitz_zeta_sderiv(-1.0, p)
-        lg = log_gamma(p)
-    except ValueError:  # p^2 or log Gamma(p) overflows; the nan sum raises below
-        zh_m1 = dzh_m1 = lg = math.nan
+    zh_m1 = _zeta_minus1(p)
     terms = (
-        (-0.5 * hurwitz_zeta(0.0, p) + r * zh_m1 - scale / 12.0) * math.log(a),
-        0.5 * lg,
+        (-0.5 * _zeta0(p) + r * zh_m1 - scale / 12.0) * math.log(a),
+        0.5 * _log_gamma(p),
         _MINUS_QUARTER_LOG_2PI,
         -r * zh_m1,
-        -r * dzh_m1,
+        -r * _zeta_sderiv_minus1(p),
         # one term of the rounding floor: the quadrature and the Binet terms
         # can cancel, and each is accurate far below the floor
         math.fsum((integral, *peeled)),
@@ -697,14 +673,14 @@ def _barnes_a11_series(a: float) -> EvalResult:
 # ROADMAP item 1, the peak-RSS reading that grows with sweep throughput.
 @lru_cache(maxsize=1)
 def _orbifold_gamma_sum(w: int) -> float:
-    # sum_{j=1}^{w-1} j log Gamma(j/w), each term by the operations of
-    # _log_gamma in its order, written out in this loop.  _checked_w keeps
-    # w <= 200, so x = j/w lies in [1/200, 199/200]: x takes its own
-    # logarithm, y = x + 1 lies in (1, 2), and exactly nine unit shifts
-    # bring y to [10, 11), at or above _STIRLING_EDGE.
-    # test_orbifold_gamma_sum in tests/test_hoisted_constants.py holds the
-    # sum of every order, by float.hex, to the sum of the written-out
-    # log-gamma that the same file holds _log_gamma to;
+    # sum_{j=1}^{w-1} j log Gamma(j/w), each term by its own Stirling
+    # arithmetic, not by _log_gamma, until math.lgamma replaces it too
+    # (ROADMAP item 8).  _checked_w keeps w <= 200, so x = j/w lies in
+    # [1/200, 199/200]: x takes its own logarithm, y = x + 1 lies in
+    # (1, 2), and exactly nine unit shifts bring y to [10, 11), at or above
+    # _STIRLING_EDGE.  test_orbifold_gamma_sum in
+    # tests/test_hoisted_constants.py holds the sum of every order, by
+    # float.hex, to the sum of a written-out one-shift-a-pass log-gamma;
     # test_orbifold_sum_takes_nine_unit_shifts in
     # tests/test_special_functions.py holds the nine shifts.
     log = math.log

@@ -31,6 +31,9 @@ integral moves when its quadrature node stops the Stirling series of
 Im log Gamma after `terms` of its eight terms, at P = 10 and b/a = s.
 tests/test_special_functions.py holds the package's six-term node to it.
 
+log_gamma(x) takes log Gamma(x) at 30 digits.  tests/test_special_functions.py
+holds the package's log-gamma core, which is math.lgamma, to it.
+
 barnes also gives the generator of the AUDIT table in
 tests/test_error_bar_audit.py its values of zeta_B'(0; a, 1, 1) for
 1/8 < a <= 1; on 1/8 < a <= 1/5 the package takes the spectral series, so
@@ -78,6 +81,12 @@ def barnes(a, b, x):
             - r * mp.zeta(-1, p, 1)
             + integral
         )
+
+
+def log_gamma(x):
+    """log Gamma(x) at 30 digits, as an mpf."""
+    with mp.workdps(30):
+        return mp.loggamma(mp.mpf(x))
 
 
 def log_tanh_half(eta):

@@ -5,15 +5,15 @@ term it stands for, in the same order, so every term, every sum and every
 value keeps its bits.  Each test below writes the formula out with those
 terms computed per call, and compares the two by float.hex, which also
 tells -0.0 from 0.0, on seeded points and the edges of the domain.  The
-log-gamma core, which takes two unit shifts per pass and sums the Stirling
-series in its own frame, and the orbifold log-gamma sum, which makes the
-core's nine unit shifts below 1 in its own loop, are held the same way to
-the written-out log-gamma, which takes one shift per pass, and Binet's
-function, which sums the same series in its own frame, to the written-out
-Binet's function; both sum the written-out eight-term Stirling series.
-The Barnes quadrature node, which sums only six terms of that series, is
-held to its own written-out arithmetic, and within 4 ulps to the
-eight-term Im log Gamma."""
+log-gamma core and the two public functions that read it, log_gamma and
+Lerch's formula, are held the same way to math.lgamma, which the core is.
+The orbifold log-gamma sum, which makes nine unit shifts below 1 in its
+own loop, is held to the written-out log-gamma, which takes one shift per
+pass, and Binet's function, which sums the same series in its own frame,
+to the written-out Binet's function; both sum the written-out eight-term
+Stirling series.  The Barnes quadrature node, which sums only six terms of
+that series, is held to its own written-out arithmetic, and within 4 ulps
+to the eight-term Im log Gamma."""
 
 import cmath
 import math
@@ -205,16 +205,15 @@ class TestDeterminants:
 
 class TestSpecialFunctions:
     def test_log_gamma_and_lerch(self):
-        # (0, 2.6e305): log Gamma overflows from about 2.58e305
+        # (0, 2.56e305): math.lgamma overflows from about 2.56e305
         rng = random.Random(272)
         xs = [5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0, 9.99, 10.0, 2.55e305] + _log_uniform(rng, 5e-324, 2.55e305, 3000)
-        # the shift loop's edges: x + 1 rounds to 2.0 at 1 - 2^-53, and the
-        # core's passes of two shifts stop at 9; then a dense sample over
-        # (0, 12], where the loop runs
+        # points where x + 1 rounds to 2.0, next to 9 and to 10, and a dense
+        # sample over (0, 12]
         xs += [1.0 - 2.0**-53, 8.999999999999998, 9.0, 9.000000000000002, 9.5, 9.999999999999998]
         xs += [12.0 - rng.uniform(0.0, 12.0) for _ in range(20000)]
         for x in xs:
-            want = _log_gamma(x)
+            want = math.lgamma(x)
             assert SF._log_gamma(x).hex() == want.hex(), x
             assert log_gamma(x).hex() == want.hex(), x
             assert hurwitz_zeta_sderiv(0.0, x).hex() == (want - 0.5 * LOG_2PI).hex(), x
@@ -230,8 +229,9 @@ class TestSpecialFunctions:
             assert SF._binet(z).hex() == _binet(z).hex(), z
 
     def test_orbifold_gamma_sum(self):
-        # the sum writes out the core's x < 1 path with its nine unit shifts
-        # in its own loop; every sum keeps the bits of the written-out terms
+        # the sum takes its nine unit shifts of x < 1 in its own loop, by the
+        # written-out log-gamma's arithmetic; every sum keeps the bits of the
+        # written-out terms
         for w in range(1, 201):
             ww = float(w)
             want = math.fsum(j * _log_gamma(j / ww) for j in range(1, w))
