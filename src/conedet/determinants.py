@@ -403,7 +403,14 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
     point.  Every identity whose two sides agree to rounding is held to
     tol; only the two asymptotic identities, whose residuals are
     mathematical remainders, keep a tolerance of their own.  Failures are
-    reported, never raised."""
+    reported, never raised.
+
+    A pass takes each input that its loops share once: the curvature and
+    log tanh(eta/2) of a radius, zeta(0) of an angle, the expansion at
+    eta = 1e-3, the spindle at K = 1, logdet_flat_disk(1.0) and the annulus
+    ratio at a point.  Each identity still calls the routes it checks and
+    makes its records in its own grid order, since a report shows the first
+    of tied worst points and names no grid point."""
     tol = _real("tol", tol, 0.0, open_lo=True)
 
     # name -> (|lhs - rhs|, lhs, rhs, tolerance) at the worst point so far
@@ -411,20 +418,20 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
 
     def record(name: str, lhs: float, rhs: float, own_tol: float = tol) -> None:
         diff = abs(lhs - rhs)
-        if name not in worst or diff > worst[name][0]:
+        held = worst.get(name)
+        if held is None or diff > held[0]:
             worst[name] = (diff, lhs, rhs, own_tol)
 
     a_grid = (0.2, 0.5, 1.0, 2.0, 5.0)
     eta_grid = (0.1, 0.5, 1.0, 2.0, 5.0)
+    # (eta, K, log |K|) for each radius
+    radii = [(eta, curvature_from_radius(eta), 2.0 * _log_tanh_half(eta)) for eta in eta_grid]
 
     for a in a_grid:
-        for eta in eta_grid:
+        zeta0 = zeta0_unit_disk_cone(a)
+        for eta, K, log_abs_K in radii:
             lhs = logdet_hyperbolic_cone(ConeGeometry(a, eta)).value
-            K = curvature_from_radius(eta)
-            rhs = (
-                -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K)).value
-                - zeta0_unit_disk_cone(a) * (2.0 * _log_tanh_half(eta))
-            )
+            rhs = -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K)).value - zeta0 * log_abs_K
             record("disk-cone-reconstruction", lhs, rhs)
 
     for w in range(1, 13):
@@ -438,7 +445,8 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
             continue
         # the small-radius expansions at w = 1..5, in this loop so that the
         # last-order memo of the log-gamma sum misses once per order
-        res1 = logdet_orbifold_cone(w, 1e-3).value - small_eta_asymptotics(w, 1e-3)
+        asym = small_eta_asymptotics(w, 1e-3)
+        res1 = logdet_orbifold_cone(w, 1e-3).value - asym
         res2 = logdet_orbifold_cone(w, 2e-3).value - small_eta_asymptotics(w, 2e-3)
         # the eta^2 term of the remainder, from log tanh(eta/2) =
         # log(eta/2) - eta^2/12 + O(eta^4) and cosh eta = 1 + eta^2/2 +
@@ -446,7 +454,7 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
         c2 = (w + 1.0 / w) / 72.0 - 1.0 / (3.0 * w)
         record("asymptotics-residual", res1, c2 * 1e-6, 1e-10)
         record("asymptotics-ratio", res1 / res2, 0.25, 0.05)
-        d_small = fp_asymptotics_reference(w, 1e-3) - small_eta_asymptotics(w, 1e-3)
+        d_small = fp_asymptotics_reference(w, 1e-3) - asym
         d_large = fp_asymptotics_reference(w, 0.5) - small_eta_asymptotics(w, 0.5)
         record("fp-discrepancy-constant", d_small, d_large)
         record("fp-discrepancy-nonzero", min(abs(d_small), 1e-3), 1e-3)
@@ -482,19 +490,25 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
         -logdet_flat_disk(2.0),
     )
 
+    # annulus-composition and the two anomaly-oracle identities walk the
+    # same points, and the first two check one closed-form ratio at each
+    flat_unit = logdet_flat_disk(1.0)
     for a in (0.5, 1.0, 2.0):
         for K in (2.0, 5.0, 10.0):
             rho = K ** (-1.0 / (2.0 * a))
-            glued = (
-                logdet_flat_disk(1.0)
-                - logdet_flat_disk(rho)
-                - zeta_prime0_spherical_cone(a, K).value
-                + annulus_ratio_closed_form(a, K)
-            )
+            ratio = annulus_ratio_closed_form(a, K)
+            glued = flat_unit - logdet_flat_disk(rho) - zeta_prime0_spherical_cone(a, K).value + ratio
             record(
                 "annulus-composition",
                 -zeta_prime0_unit_disk_cone(CurvedDiskGeometry(a, K)).value,
                 glued,
+            )
+            breakdown = pa_oracle.pa_annulus_numeric(a, K)
+            record("pa-annulus-dual-oracle", breakdown.total, ratio)
+            record(
+                "grad-quadrature-agreement",
+                breakdown.area_term,
+                pa_oracle._area_term_closed_form(a, K),
             )
 
     for a in (0.5, 1.0, 2.0):
@@ -510,26 +524,14 @@ def verify_identities(tol: float = 1e-8) -> list[IdentityReport]:
         )
 
     for a in (0.5, 1.0, 2.0, 5.0):
+        at_unit_K = zeta_prime0_spindle(a, 1.0).value
+        zeta0 = zeta0_spindle(a)
         for K in (0.5, 2.0):
-            record(
-                "spindle-rescale",
-                zeta_prime0_spindle(a, K).value,
-                rescale_logdet(zeta_prime0_spindle(a, 1.0).value, zeta0_spindle(a), K),
-            )
+            record("spindle-rescale", zeta_prime0_spindle(a, K).value, rescale_logdet(at_unit_K, zeta0, K))
 
     for a in (0.5, 0.25, 0.125):
         record("symmetry-zeta0", zeta0_spindle(a), zeta0_spindle(1.0 / a))
         record("symmetry-zeta0", zeta0_unit_disk_cone(a), zeta0_unit_disk_cone(1.0 / a))
-
-    for a in (0.5, 1.0, 2.0):
-        for K in (2.0, 5.0, 10.0):
-            breakdown = pa_oracle.pa_annulus_numeric(a, K)
-            record("pa-annulus-dual-oracle", breakdown.total, annulus_ratio_closed_form(a, K))
-            record(
-                "grad-quadrature-agreement",
-                breakdown.area_term,
-                pa_oracle._area_term_closed_form(a, K),
-            )
 
     for eta in (0.5, 1.0, 3.0):
         breakdown = pa_oracle.pa_disk_numeric(eta)

@@ -503,6 +503,41 @@ class TestVerifyIdentities:
         verify_identities()
         assert len(calls) == 6
 
+    def test_each_shared_input_is_taken_once_per_pass(self, monkeypatch):
+        # a warm pass takes the curvature of each radius, zeta(0) of each
+        # angle, the expansion at eta = 1e-3, the spindle at K = 1,
+        # logdet_flat_disk(1.0) and each annulus ratio once; verify looks
+        # every name up when it calls it, so a wrapper counts every call
+        want = {
+            "curvature_from_radius": 5,
+            "zeta0_unit_disk_cone": 11,
+            "small_eta_asymptotics": 15,
+            "zeta_prime0_spindle": 21,
+            "zeta0_spindle": 10,
+            "logdet_flat_disk": 14,
+            "annulus_ratio_closed_form": 9,
+            "pa_annulus_numeric": 9,
+            "pa_disk_numeric": 3,
+            "logdet_hyperbolic_cone": 66,
+            "zeta_prime0_unit_disk_cone": 44,
+            "logdet_orbifold_cone": 46,
+        }
+        plain = verify_identities()
+        counts = dict.fromkeys(want, 0)
+
+        def counted(name, f):
+            def g(*args):
+                counts[name] += 1
+                return f(*args)
+
+            return g
+
+        for name in want:
+            module = pa_oracle if name.startswith("pa_") else determinants
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert verify_identities() == plain
+        assert counts == want
+
     def test_one_gamma_sum_per_run_of_one_order(self):
         # the orbifold loop asks for each order w = 1..12 in one run; the
         # last-order memo computes its log-gamma sum once per run, 12 runs
